@@ -12,15 +12,19 @@ package sim
 // Concurrency contract (what an implementation may assume):
 //
 //   - Lane events (ChainBegin/ChainEnd/StealAttempt) for one lane are
-//     totally ordered by the engine's chain handoffs: the dispatch that
+//     totally ordered: every processor on a lane is resumed by that lane's
+//     driver, one coroutine at a time, and a chain is dispatched on a
+//     helper lane by a channel send to its driver. So the dispatch that
 //     begins a lane's chain happens-before the chain's own events, and a
 //     lane's end happens-before its next dispatch. Events for different
 //     lanes are concurrent — per-lane state needs no locking, shared state
 //     does.
 //   - Serial events (SerialBegin/SerialEnd/WindowOpen) are emitted only
-//     while at most one chain — or only the coordinator — is executing, and
-//     consecutive emissions are linked by the engine's resume/yield channel
-//     operations, so they are totally ordered.
+//     while at most one chain — or only the coordinator — is executing.
+//     They come from the coordinator or from the serial lane, which the
+//     coordinator's goroutine drives itself, and the coordinator collects
+//     every helper lane's end over a channel before the next one, so they
+//     are totally ordered.
 
 // Serial-span kinds for HostProfiler.SerialBegin/SerialEnd. The serial
 // track records the engine's inherently single-threaded stretches: the

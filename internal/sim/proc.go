@@ -62,22 +62,30 @@ func (c *Counters) Misses() int64 { return c.LocalMisses + c.RemoteClean + c.Rem
 
 // Proc is one simulated processor. Application code receives a Proc and
 // advances its virtual clock through the methods below. A Proc's methods
-// must only be called from the goroutine the engine started for it.
+// must only be called from its own body, which the engine runs as a
+// coroutine.
 type Proc struct {
 	id        int
 	e         *Engine
 	now       Time
 	limit     Time // park when now exceeds this (window edge - 1)
-	resume    chan struct{}
 	blocked   bool
 	finished  bool
 	heapIndex int  // index in its shard heap or the commit heap; -1 when in neither
 	shard     int  // static shard assignment (SetShards)
-	lane      int  // host lane its phase-1 chain runs on (profiling only)
+	lane      int  // host lane whose driver resumes this processor
 	mode      int8 // modePhase1 or modeCommit
 	global    int  // open AwaitGlobal sections; >0 pins the proc to the commit chain
 	seq       int64
 	stats     [numStats]Time
+
+	// The coroutine running the body in the current Run (spawn): coNext
+	// runs it until it parks or finishes, coStop unwinds it, and coYield
+	// parks it from inside. All nil once it has finished, so a finished
+	// body's closure is not kept alive.
+	coNext  func() (struct{}, bool)
+	coStop  func()
+	coYield func(struct{}) bool
 
 	// Counters holds machine-model event counts for this processor.
 	Counters Counters
@@ -151,13 +159,28 @@ func (p *Proc) Yield() {
 	}
 }
 
-// park suspends the goroutine until the engine hands it control again. If
-// the run was abandoned (deadlock or panic) the goroutine unwinds instead
-// of leaking.
+// park suspends the coroutine, returning control to its lane's driver,
+// until the driver resumes it. If the run was abandoned (deadlock or panic)
+// the coroutine unwinds instead of leaking.
 func (p *Proc) park() {
-	<-p.resume
-	if p.e.abandoned {
+	if !p.coYield(struct{}{}) {
 		panic(abandonRun{})
+	}
+}
+
+// resume runs p's coroutine until it parks or finishes; a finished one
+// drops its coroutine.
+func (p *Proc) resume() {
+	if _, ok := p.coNext(); !ok {
+		p.coNext, p.coStop, p.coYield = nil, nil, nil
+	}
+}
+
+// abandon unwinds p's coroutine if it has not finished (see release).
+func (p *Proc) abandon() {
+	if p.coStop != nil {
+		p.coStop()
+		p.coNext, p.coStop, p.coYield = nil, nil, nil
 	}
 }
 
@@ -169,10 +192,11 @@ func (p *Proc) windowPark() {
 }
 
 // chainStep continues this processor's chain after it stops running (window
-// edge, Block, AwaitGlobal, or finish): it resumes the next processor of
-// its phase-1 shard heap or of the commit heap, or reports the chain done
-// to the coordinator. In phase 1 only processors of p's shard touch the
-// shard heap, so chains from different shards never share mutable state.
+// edge, Block, AwaitGlobal, or finish): it hands the lane to the next
+// processor of its phase-1 shard heap or of the commit heap, or leaves the
+// lane without a successor, which ends the chain and returns control to
+// the coordinator. In phase 1 only processors of p's shard touch the shard
+// heap, so chains from different shards never share mutable state.
 func (p *Proc) chainStep() {
 	e := p.e
 	if e.runAhead {
@@ -191,7 +215,6 @@ func (p *Proc) chainStep() {
 			if e.prof != nil {
 				e.prof.SerialEnd(SerialRunAhead)
 			}
-			e.yieldCh <- yieldEvent{p: p, kind: evChainDone, shard: -1}
 			return
 		}
 		if !p.blocked && !p.finished {
@@ -206,7 +229,6 @@ func (p *Proc) chainStep() {
 		if e.prof != nil {
 			e.prof.SerialEnd(SerialRunAhead)
 		}
-		e.yieldCh <- yieldEvent{p: p, kind: evChainDone, shard: -1}
 		return
 	}
 	if p.mode == modeCommit {
@@ -215,32 +237,30 @@ func (p *Proc) chainStep() {
 			q := e.commit.pop()
 			q.mode = modeCommit
 			q.limit = e.windowEnd - 1
-			q.resume <- struct{}{}
+			e.handoff(q, serialLane)
 			return
 		}
 		// The commit chain is dry: the serial span that began at its
-		// dispatch ends here, whichever goroutine carries the last commit.
+		// dispatch ends here, whichever processor carries the last commit.
 		if e.prof != nil {
 			e.prof.SerialEnd(SerialCommit)
 		}
-		if e.singleChain() && e.turnover() {
-			return
+		if e.singleChain() {
+			e.turnover()
 		}
-		e.yieldCh <- yieldEvent{p: p, kind: evChainDone, shard: -1}
 		return
 	}
 	h := &e.shardHeaps[p.shard]
 	if len(*h) > 0 {
 		q := h.pop()
-		q.lane = p.lane
 		q.mode = modePhase1
 		q.limit = e.windowEnd - 1
-		q.resume <- struct{}{}
+		e.handoff(q, p.lane)
 		return
 	}
 	// This chain is dry: claim the next undispatched shard's chain and keep
-	// executing on this host worker (work stealing). The claim order is
-	// shard order regardless of which chains claim, so the schedule is
+	// executing on this lane (work stealing). The claim order is shard
+	// order regardless of which chains claim, so the schedule is
 	// unchanged; only idle time moves.
 	if e.prof != nil {
 		e.prof.ChainEnd(p.lane)
@@ -250,35 +270,18 @@ func (p *Proc) chainStep() {
 	}
 	if e.singleChain() {
 		// Only one chain ever runs at a time, so when it runs dry this
-		// goroutine can continue the schedule itself — the phase barrier
+		// processor can continue the schedule itself — the phase barrier
 		// and the commit chain, then the next round — instead of
 		// round-tripping through the coordinator. The order is exactly the
 		// coordinator's (shard-major staged merge, (time, id) commits), so
 		// the schedule is unchanged.
-		for s := range e.staged {
-			for _, q := range e.staged[s] {
-				e.commitSeq++
-				q.seq = e.commitSeq
-				e.commit.push(q)
-			}
-			e.staged[s] = e.staged[s][:0]
-		}
+		e.mergeStaged()
 		if len(e.commit) > 0 {
-			e.commitRuns++
-			q := e.commit.pop()
-			q.mode = modeCommit
-			q.limit = e.windowEnd - 1
-			if e.prof != nil {
-				e.prof.SerialBegin(SerialCommit)
-			}
-			q.resume <- struct{}{}
-			return
-		}
-		if e.turnover() {
-			return
+			e.startCommit()
+		} else {
+			e.turnover()
 		}
 	}
-	e.yieldCh <- yieldEvent{p: p, kind: evChainDone, shard: p.shard}
 }
 
 // AwaitGlobal serializes this processor into the commit phase before an
@@ -321,7 +324,7 @@ func (p *Proc) AwaitGlobal() bool {
 		q := e.commit.pop()
 		q.mode = modeCommit
 		q.limit = e.windowEnd - 1
-		q.resume <- struct{}{}
+		e.handoff(q, serialLane)
 		p.park()
 		return true
 	}

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic direct-execution discrete-event
 // engine for multiprocessor performance simulation.
 //
-// Each simulated processor runs application code in its own goroutine and
+// Each simulated processor runs application code in its own coroutine and
 // owns a virtual clock. Execution proceeds in conservative time windows:
 // the engine repeatedly picks the window [T, T+W) that contains the
 // smallest runnable clock (W is the window from NewEngine, the old
@@ -28,15 +28,21 @@
 // workers is therefore bit-identical to a run with 1 — same clocks, same
 // statistics, same event order within every shard and within commit.
 //
-// Control passes directly between processor goroutines (one channel
-// handoff per switch) along per-shard chains and along the commit chain.
-// Within a window, shard chains are claimed from a shared counter in shard
-// order: a chain that runs dry immediately starts the next unclaimed
-// shard's chain on the same host worker (work stealing), so the central
-// Run loop is involved only at window boundaries, for deadlock detection,
-// and for panic propagation. Which host worker executes a shard never
-// affects results — shards are state-disjoint and the claim order is
-// fixed — so stealing only moves wall-clock time around.
+// Control passes directly between processor coroutines along per-shard
+// chains and along the commit chain. A chain runs on a lane, a host
+// execution slot: a processor that stops running names its successor on
+// the lane and parks, and the lane's driver resumes that successor — two
+// coroutine switches per handoff, with no channel operation and no
+// scheduler wake-up. The Run goroutine drives lane 0, which carries every
+// serial chain (commit, run-ahead, turnover); lanes 1..workers-1 each have
+// one helper goroutine per Run. Within a window, shard chains are claimed
+// from a shared counter in shard order: a chain that runs dry immediately
+// starts the next unclaimed shard's chain on the same lane (work
+// stealing), so the central Run loop is involved only at window
+// boundaries, for deadlock detection, and for panic propagation. Which
+// lane executes a shard never affects results — shards are state-disjoint
+// and the claim order is fixed — so stealing only moves wall-clock time
+// around.
 //
 // # Run-ahead fast path
 //
@@ -95,7 +101,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -177,26 +182,35 @@ const (
 	modeCommit
 )
 
-type eventKind int
+// serialLane is the lane of every serial chain — commit, run-ahead and
+// turnover — and of the first phase-1 chain; the Run goroutine drives it.
+const serialLane = 0
 
-const (
-	// evChainDone: a phase-1 shard chain, the commit chain, or the
-	// run-ahead chain ran dry.
-	evChainDone eventKind = iota
-	// evPanic: a processor's body panicked; terminates its chain.
-	evPanic
-)
-
-type yieldEvent struct {
-	p     *Proc
-	kind  eventKind
-	shard int // chain identity: shard index, or -1 for the commit chain
-	err   any // panic value when kind == evPanic
+// lane is a host execution slot for chains. Its driver resumes one
+// processor coroutine at a time: a processor that stops running records
+// its successor in next and parks, and the driver resumes that successor.
+// A coroutine cannot resume a sibling without nesting inside it, so every
+// switch goes through the driver.
+type lane struct {
+	next     *Proc         // processor to resume once the running one parks; nil ends the chain
+	panicked *Proc         // processor whose body panicked, ending the chain
+	err      any           // its panic value
+	start    chan struct{} // helper lanes only: a chain was dispatched on the lane
+	// Concurrent lanes write next on every handoff; keep them on separate
+	// cache lines.
+	_ [64]byte
 }
 
-// abandonRun is panicked by parked processor goroutines when the engine
+// chainEnd reports how a helper lane's chain ended: p is nil when it ran
+// dry, or the processor whose panic (err) ended it.
+type chainEnd struct {
+	p   *Proc
+	err any
+}
+
+// abandonRun is panicked by parked processor coroutines when the engine
 // abandons a run (deadlock or propagated panic) so their stacks unwind and
-// the goroutines exit instead of leaking.
+// the coroutines finish instead of leaking.
 type abandonRun struct{}
 
 // Engine coordinates a set of simulated processors.
@@ -262,9 +276,10 @@ type Engine struct {
 	// Strictly observational — see hostprof.go for the contract.
 	prof HostProfiler
 
-	yieldCh   chan yieldEvent
-	abandoned bool // set before resuming parked goroutines to unwind them
-	wg        sync.WaitGroup
+	// lanes[serialLane] is driven by the Run goroutine; lanes 1.. by one
+	// helper goroutine each, which report chain ends on laneDone.
+	lanes    []lane
+	laneDone chan chainEnd
 }
 
 // NewEngine creates an engine with n processors and the given window width
@@ -281,19 +296,10 @@ func NewEngine(n int, quantum Time) *Engine {
 		window:     quantum,
 		windowBase: quantum,
 		workers:    1,
-		yieldCh:    make(chan yieldEvent),
 	}
 	e.procs = make([]*Proc, n)
 	for i := range e.procs {
-		e.procs[i] = &Proc{
-			id: i,
-			e:  e,
-			// Buffered so a yielding goroutine hands control off
-			// without waiting for the next goroutine to be
-			// scheduled; at most one token is ever outstanding.
-			resume:    make(chan struct{}, 1),
-			heapIndex: -1,
-		}
+		e.procs[i] = &Proc{id: i, e: e, heapIndex: -1}
 	}
 	e.setShardCount(1)
 	return e
@@ -395,7 +401,6 @@ func (d *DeadlockError) Error() string {
 // Run may be called repeatedly; virtual clocks and statistics carry over, so
 // successive phases accumulate. Use Reset to start fresh.
 func (e *Engine) Run(body func(p *Proc)) error {
-	e.abandoned = false
 	e.runAhead = false
 	e.raExit = false
 	e.commit = e.commit[:0]
@@ -409,9 +414,9 @@ func (e *Engine) Run(body func(p *Proc)) error {
 		p.mode = modePhase1
 		p.global = 0
 		p.heapIndex = -1
-		e.wg.Add(1)
-		go e.runProc(p, body)
+		p.spawn(body)
 	}
+	defer e.startLanes()()
 	for {
 		// Between windows every live processor is parked: finished,
 		// blocked in Block, or runnable and waiting for its next window.
@@ -474,47 +479,112 @@ func (e *Engine) Run(body func(p *Proc)) error {
 			e.prof.SerialEnd(SerialTurnover)
 		}
 
-		// Phase 1: claim shard chains in index order, up to the worker
-		// bound; each dying chain claims the next itself (work stealing),
-		// so one evChainDone arrives per initial claim.
+		// Phase 1: claim shard chains in index order, one per lane up to
+		// the worker bound; each dying chain claims the next itself (work
+		// stealing), so each lane's chain ends once.
 		outstanding := 0
 		for outstanding < e.workers && e.startNextChain(outstanding, false) {
+			if outstanding != serialLane {
+				e.lanes[outstanding].start <- struct{}{}
+			}
 			outstanding++
 		}
-		for outstanding > 0 {
-			ev := <-e.yieldCh
-			outstanding--
-			if ev.kind == evPanic {
-				e.propagate(ev, outstanding)
-			}
+		if outstanding > 0 {
+			e.awaitChains(outstanding)
 		}
 
-		// Phase barrier: merge the shards' AwaitGlobal arrivals into the
-		// commit queue. The heap orders commits by (suspend time, id), so
-		// the merge result is independent of shard execution order; the
-		// shard-major visit order only assigns the diagnostic seq stamps.
-		for s := range e.staged {
-			for _, p := range e.staged[s] {
-				e.commitSeq++
-				p.seq = e.commitSeq
-				e.commit.push(p)
-			}
-			e.staged[s] = e.staged[s][:0]
-		}
-
-		// Phase 2: one serial commit chain in (suspend time, id) order.
+		// Phase barrier, then phase 2: one serial commit chain in (suspend
+		// time, id) order.
+		e.mergeStaged()
 		if len(e.commit) > 0 {
-			e.commitRuns++
-			p := e.commit.pop()
-			p.mode = modeCommit
-			p.limit = e.windowEnd - 1
-			if e.prof != nil {
-				e.prof.SerialBegin(SerialCommit)
-			}
-			p.resume <- struct{}{}
+			e.startCommit()
 			e.awaitChains(1)
 		}
 	}
+}
+
+// mergeStaged is the phase barrier: it merges the shards' AwaitGlobal
+// arrivals into the commit queue. The heap orders commits by (suspend time,
+// id), so the merge result is independent of shard execution order; the
+// shard-major visit order only assigns the diagnostic seq stamps.
+func (e *Engine) mergeStaged() {
+	for s := range e.staged {
+		for _, p := range e.staged[s] {
+			e.commitSeq++
+			p.seq = e.commitSeq
+			e.commit.push(p)
+		}
+		e.staged[s] = e.staged[s][:0]
+	}
+}
+
+// startCommit opens the window's serial commit chain: it hands the serial
+// lane to the commit queue's minimum.
+func (e *Engine) startCommit() {
+	e.commitRuns++
+	q := e.commit.pop()
+	q.mode = modeCommit
+	q.limit = e.windowEnd - 1
+	if e.prof != nil {
+		e.prof.SerialBegin(SerialCommit)
+	}
+	e.handoff(q, serialLane)
+}
+
+// startLanes sizes the lanes for one Run and starts a helper goroutine for
+// every lane beyond the serial lane. At most min(workers, shards) chains
+// ever run at once, so a single-chain engine has no helper and its
+// handoffs involve no channel operation at all. The returned func stops
+// the helpers and waits for them to exit.
+func (e *Engine) startLanes() (stop func()) {
+	n := min(e.workers, e.numShards)
+	if len(e.lanes) != n {
+		e.lanes = make([]lane, n)
+	}
+	if n > 1 && e.laneDone == nil {
+		e.laneDone = make(chan chainEnd)
+	}
+	for l := 1; l < n; l++ {
+		e.lanes[l].start = make(chan struct{})
+		go e.helpLane(l)
+	}
+	return func() {
+		for l := 1; l < n; l++ {
+			close(e.lanes[l].start)
+		}
+		for l := 1; l < n; l++ {
+			<-e.laneDone
+		}
+	}
+}
+
+// helpLane drives lane l's chain each time one is dispatched on it and
+// reports the chain's end; a final report acknowledges the lane's stop.
+func (e *Engine) helpLane(l int) {
+	for range e.lanes[l].start {
+		e.laneDone <- e.driveLane(l)
+	}
+	e.laneDone <- chainEnd{}
+}
+
+// handoff makes q the processor lane l resumes next: the chain continues
+// with q as soon as the caller parks or finishes.
+func (e *Engine) handoff(q *Proc, l int) {
+	q.lane = l
+	e.lanes[l].next = q
+}
+
+// driveLane runs lane l's chain until no processor names a successor, and
+// reports how it ended.
+func (e *Engine) driveLane(l int) chainEnd {
+	ln := &e.lanes[l]
+	for q := ln.next; q != nil; q = ln.next {
+		ln.next = nil
+		q.resume()
+	}
+	end := chainEnd{p: ln.panicked, err: ln.err}
+	ln.panicked, ln.err = nil, nil
+	return end
 }
 
 // openWindow opens the window [T, T+W) around the smallest runnable clock
@@ -598,7 +668,7 @@ func (e *Engine) startNextChain(lane int, steal bool) bool {
 			}
 			e.prof.ChainBegin(lane)
 		}
-		p.resume <- struct{}{}
+		e.handoff(p, lane)
 		return true
 	}
 }
@@ -625,9 +695,9 @@ func (e *Engine) enterRunAhead(s int) {
 	e.raResume()
 }
 
-// raResume pops the run-ahead heap's minimum and resumes it, allowed to
-// run one window width past the next-lowest runnable clock (unbounded when
-// it has no runnable peer).
+// raResume pops the run-ahead heap's minimum and hands the serial lane to
+// it, allowed to run one window width past the next-lowest runnable clock
+// (unbounded when it has no runnable peer).
 func (e *Engine) raResume() {
 	h := &e.shardHeaps[e.raShard]
 	q := h.pop()
@@ -637,7 +707,7 @@ func (e *Engine) raResume() {
 	} else {
 		q.limit = maxTime
 	}
-	q.resume <- struct{}{}
+	e.handoff(q, serialLane)
 }
 
 // singleChain reports whether at most one chain can ever be executing, so
@@ -654,10 +724,10 @@ func (e *Engine) singleChain() bool {
 // the run-ahead fast path — skipping two coordinator round-trips per
 // round. The decision inputs (the runnable set and its shards) and the
 // dispatch order are exactly the coordinator's, so the schedule is
-// unchanged. Returns false (the caller then wakes the coordinator) when
-// the run is over or deadlocked: finish and deadlock reporting stay with
-// the coordinator.
-func (e *Engine) turnover() bool {
+// unchanged. It leaves the lane without a successor, returning control to
+// the coordinator, when the run is over or deadlocked: finish and deadlock
+// reporting stay with the coordinator.
+func (e *Engine) turnover() {
 	if e.prof != nil {
 		e.prof.SerialBegin(SerialTurnover)
 	}
@@ -689,7 +759,7 @@ func (e *Engine) turnover() bool {
 		if e.prof != nil {
 			e.prof.SerialEnd(SerialTurnover)
 		}
-		return false
+		return
 	}
 	e.quiesce(minNow, quiet, false)
 	if oneShard {
@@ -697,28 +767,19 @@ func (e *Engine) turnover() bool {
 			e.prof.SerialEnd(SerialTurnover)
 		}
 		e.enterRunAhead(loneShard)
-		return true
+		return
 	}
 	e.openWindow(minNow)
 	if e.prof != nil {
 		e.prof.SerialEnd(SerialTurnover)
 	}
 	// Turnover runs in-chain only on singleChain engines, where at most one
-	// chain ever executes: the next chain is always lane 0.
-	if e.startNextChain(0, false) {
-		return true
+	// chain ever executes: the next chain is always the serial lane's. If
+	// no shard has queued work, every processor in the window is inside an
+	// open global section: the window is all commit phase.
+	if !e.startNextChain(serialLane, false) {
+		e.startCommit()
 	}
-	// Every processor in the window is inside an open global section: the
-	// window is all commit phase.
-	e.commitRuns++
-	q := e.commit.pop()
-	q.mode = modeCommit
-	q.limit = e.windowEnd - 1
-	if e.prof != nil {
-		e.prof.SerialBegin(SerialCommit)
-	}
-	q.resume <- struct{}{}
-	return true
 }
 
 // SchedStats reports the schedule's shape: windowed rounds executed,
@@ -757,36 +818,26 @@ func (e *Engine) Shape() SchedShape {
 	}
 }
 
-// awaitChains waits for n chains to terminate, re-raising on panic events.
+// awaitChains drives the serial lane's chain to its end, then waits for the
+// n-1 chains dispatched on helper lanes. If any chain ended in a panic it
+// unwinds every parked processor and re-raises one panic: the lowest
+// processor id's when several shards panicked in the same window, so the
+// choice never depends on host timing.
 func (e *Engine) awaitChains(n int) {
-	for n > 0 {
-		ev := <-e.yieldCh
-		n--
-		if ev.kind == evPanic {
-			e.propagate(ev, n)
+	end := e.driveLane(serialLane)
+	for ; n > 1; n-- {
+		if ev := <-e.laneDone; ev.p != nil && (end.p == nil || ev.p.id < end.p.id) {
+			end = ev
 		}
 	}
-}
-
-// propagate drains the remaining outstanding chains after a panic, picks
-// the deterministic winner when several shards panicked in the same window
-// (lowest processor id), unwinds every parked goroutine, and re-raises.
-// It never returns.
-func (e *Engine) propagate(first yieldEvent, outstanding int) {
-	winner := first
-	for outstanding > 0 {
-		ev := <-e.yieldCh
-		outstanding--
-		if ev.kind == evPanic && ev.p.id < winner.p.id {
-			winner = ev
-		}
+	if end.p != nil {
+		e.release()
+		panic(end.err)
 	}
-	e.release()
-	panic(winner.err)
 }
 
 // deadlock collects the blocked processor set and releases every parked
-// goroutine so none leak.
+// processor so none leak.
 func (e *Engine) deadlock() error {
 	d := &DeadlockError{}
 	for _, p := range e.procs {
@@ -799,20 +850,16 @@ func (e *Engine) deadlock() error {
 	return d
 }
 
-// release unwinds every parked processor goroutine (they observe the
-// abandoned flag, panic abandonRun, and exit) and waits for them, so no
-// stale goroutine can steal a resume token from a later Run. It must only
-// be called from Run with no chain executing: every unfinished processor
-// is then parked on its resume channel. (Panicked processors are marked
-// finished before their event is sent.)
+// release unwinds every unfinished processor coroutine: a parked one sees
+// its park fail, panics abandonRun and finishes; one that never started
+// finishes without running its body. Each unwind completes before the
+// call returns, so nothing of an abandoned run survives into a later Run.
+// It must only be called from Run with no chain executing: every
+// unfinished processor is then parked or not yet started.
 func (e *Engine) release() {
-	e.abandoned = true
 	for _, p := range e.procs {
-		if !p.finished {
-			p.resume <- struct{}{}
-		}
+		p.abandon()
 	}
-	e.wg.Wait()
 	e.runAhead = false
 	e.commit = e.commit[:0]
 	for s := range e.shardHeaps {
@@ -824,20 +871,21 @@ func (e *Engine) release() {
 	}
 }
 
+// runProc is the body of p's coroutine. A panic in body ends p's chain: it
+// is recorded on the lane, and the lane's driver reports it.
 func (e *Engine) runProc(p *Proc, body func(*Proc)) {
-	defer e.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abandonRun); ok {
-				return // run abandoned (deadlock/panic); just exit
+				return // run abandoned (deadlock/panic); just finish
 			}
 			p.finished = true
-			e.yieldCh <- yieldEvent{p: p, kind: evPanic, shard: p.shard, err: r}
+			ln := &e.lanes[p.lane]
+			ln.next, ln.panicked, ln.err = nil, p, r
 		}
 	}()
-	p.park()
 	if e.prof != nil {
-		// With profiling on, label the goroutine so CPU profiles attribute
+		// With profiling on, label the coroutine so CPU profiles attribute
 		// samples to the simulated processor and its shard. Labels are
 		// host-side metadata only; the schedule cannot observe them.
 		pprof.Do(context.Background(),

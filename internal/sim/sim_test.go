@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -127,45 +129,107 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestDeadlockReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		e := NewEngine(8, 0)
-		err := e.Run(func(p *Proc) {
-			if p.ID()%2 == 0 {
-				p.Block() // never woken
-			}
-		})
-		if _, ok := err.(*DeadlockError); !ok {
-			t.Fatalf("err = %v, want *DeadlockError", err)
-		}
+// laneGrid is the worker x shard grid the abandonment tests cover: the
+// serial lane alone (workers 1, or one shard) and helper lanes with
+// stealing (workers 2 over 4 shards).
+var laneGrid = []struct{ workers, shards int }{{1, 1}, {1, 4}, {2, 1}, {2, 4}}
+
+// newGridEngine builds an 8-processor engine with processor i in shard
+// i % shards.
+func newGridEngine(workers, shards int) *Engine {
+	e := NewEngine(8, 0)
+	shardOf := make([]int, 8)
+	for i := range shardOf {
+		shardOf[i] = i % shards
 	}
-	// The blocked goroutines must have been released, not left parked on
-	// their resume channels. Allow a moment for released goroutines to
-	// finish exiting.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Errorf("goroutines leaked across deadlocked runs: before=%d after=%d", before, runtime.NumGoroutine())
+	e.SetShards(shardOf, shards)
+	e.SetWorkers(workers)
+	return e
 }
 
-func TestEngineReusableAfterDeadlock(t *testing.T) {
-	e := NewEngine(4, 0)
-	err := e.Run(func(p *Proc) {
-		if p.ID() == 3 {
-			p.Block()
-		}
-	})
-	if _, ok := err.(*DeadlockError); !ok {
-		t.Fatalf("err = %v, want *DeadlockError", err)
+// checkReleased asserts an abandoned run left nothing behind: the goroutine
+// count returns to before (lane helpers and processor coroutines all
+// exited), and a clean Run on the same engine completes every processor.
+func checkReleased(t *testing.T, e *Engine, before int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	// A helper goroutine may still be returning after its final report.
+	for i := 0; i < 100 && n > before; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	// A subsequent Run must work and must not have its resumes stolen by
-	// stale goroutines from the abandoned run.
+	if n > before {
+		t.Errorf("goroutines leaked: before=%d after=%d", before, n)
+	}
 	if err := e.Run(func(p *Proc) { p.Advance(Nanosecond, StatBusy) }); err != nil {
-		t.Fatal(err)
+		t.Fatalf("clean Run after abandonment: %v", err)
+	}
+	for _, p := range e.Procs() {
+		if !p.finished {
+			t.Errorf("clean Run after abandonment left proc %d unfinished", p.ID())
+		}
+	}
+}
+
+func TestDeadlockReleasesGoroutines(t *testing.T) {
+	for _, g := range laneGrid {
+		t.Run(fmt.Sprintf("workers=%d/shards=%d", g.workers, g.shards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := newGridEngine(g.workers, g.shards)
+			err := e.Run(func(p *Proc) {
+				p.Advance(Time(1+p.ID())*Nanosecond, StatBusy)
+				if p.ID()%2 == 0 {
+					p.Block() // never woken
+				}
+			})
+			d, ok := err.(*DeadlockError)
+			if !ok {
+				t.Fatalf("err = %v, want *DeadlockError", err)
+			}
+			if want := []int{0, 2, 4, 6}; !reflect.DeepEqual(d.Blocked, want) {
+				t.Errorf("blocked = %v, want %v", d.Blocked, want)
+			}
+			checkReleased(t, e, before)
+		})
+	}
+}
+
+// TestEngineReusableAfterDeadlock abandons several runs in a row on one
+// engine — deadlock, panic, deadlock — with a clean Run after each, so no
+// coroutine or helper of an abandoned run can disturb any later one.
+func TestEngineReusableAfterDeadlock(t *testing.T) {
+	for _, g := range laneGrid {
+		t.Run(fmt.Sprintf("workers=%d/shards=%d", g.workers, g.shards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := newGridEngine(g.workers, g.shards)
+			for round := 0; round < 3; round++ {
+				if round == 1 {
+					func() {
+						defer func() {
+							if r := recover(); r != "boom" {
+								t.Fatalf("recovered %v, want boom", r)
+							}
+						}()
+						_ = e.Run(func(p *Proc) {
+							if p.ID() == 5 {
+								panic("boom")
+							}
+							p.Advance(Nanosecond, StatBusy)
+						})
+					}()
+				} else {
+					err := e.Run(func(p *Proc) {
+						if p.ID() == 3 {
+							p.Block()
+						}
+					})
+					if _, ok := err.(*DeadlockError); !ok {
+						t.Fatalf("round %d: err = %v, want *DeadlockError", round, err)
+					}
+				}
+				checkReleased(t, e, before)
+			}
+		})
 	}
 }
 
@@ -195,19 +259,58 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestPanicPropagates re-raises a processor's panic on Run's caller across
+// the lane grid. Two extra cases pin the helper-lane paths: a panic raised
+// in a phase-1 chain on lane 1, and two shards panicking in one window,
+// where the lowest processor id's panic must win whichever lane reports
+// first.
 func TestPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic to propagate from processor body")
-		}
-	}()
-	e := NewEngine(2, 0)
-	_ = e.Run(func(p *Proc) {
-		if p.ID() == 1 {
-			panic("boom")
-		}
-		p.Advance(Nanosecond, StatBusy)
-	})
+	type pcase struct {
+		name            string
+		workers, shards int
+		panickers       []int
+		wantLane        int // lane the first panicker must run on; -1 for any
+	}
+	var cases []pcase
+	for _, g := range laneGrid {
+		cases = append(cases, pcase{fmt.Sprintf("workers=%d/shards=%d", g.workers, g.shards), g.workers, g.shards, []int{1}, -1})
+	}
+	cases = append(cases,
+		pcase{"phase1-lane1", 2, 4, []int{1}, 1},
+		pcase{"two-shards-one-window", 2, 4, []int{1, 2}, 1},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := newGridEngine(c.workers, c.shards)
+			var raised atomic.Int32
+			func() {
+				defer func() {
+					want := fmt.Sprintf("boom %d", c.panickers[0])
+					if r := recover(); r != want {
+						t.Fatalf("recovered %v, want %s", r, want)
+					}
+				}()
+				_ = e.Run(func(p *Proc) {
+					for _, id := range c.panickers {
+						if p.ID() != id {
+							continue
+						}
+						if c.wantLane >= 0 && id == c.panickers[0] && (p.lane != c.wantLane || p.mode != modePhase1) {
+							t.Errorf("proc %d runs on lane %d mode %d, want phase 1 on lane %d", id, p.lane, p.mode, c.wantLane)
+						}
+						raised.Add(1)
+						panic(fmt.Sprintf("boom %d", id))
+					}
+					p.Advance(Nanosecond, StatBusy)
+				})
+			}()
+			if got := int(raised.Load()); c.wantLane >= 0 && got != len(c.panickers) {
+				t.Errorf("%d of %d panickers ran before the run was abandoned", got, len(c.panickers))
+			}
+			checkReleased(t, e, before)
+		})
+	}
 }
 
 func TestResourceQueueing(t *testing.T) {

@@ -7,7 +7,7 @@ package sim
 //
 // # Why round boundaries are safe snapshot points
 //
-// Between scheduling rounds every processor goroutine is parked: finished,
+// Between scheduling rounds every processor coroutine is parked: finished,
 // blocked in Block, or waiting for its next window. No application code is
 // on any stack mid-operation — each processor's continuation is fully
 // described by (clock, blocked, finished, shard, open global sections) plus
@@ -36,9 +36,9 @@ func (e *Engine) QuiesSeq() int64 { return e.quiesSeq }
 
 // quiesce advances the round counter and invokes the quiescent hook. It
 // runs with no chain executing: every unfinished processor is parked. On
-// the coordinator path a hook panic must release the parked goroutines
+// the coordinator path a hook panic must release the parked processors
 // before propagating (on a chain path the panic unwinds through runProc's
-// recover, which already routes through propagate → release).
+// recover, which records it on the lane for awaitChains → release).
 func (e *Engine) quiesce(minNow Time, quiet, coordinator bool) {
 	e.quiesSeq++
 	if e.quiescent == nil {
