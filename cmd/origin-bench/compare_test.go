@@ -151,7 +151,7 @@ func TestCompareFailsOnMissingBaselineRow(t *testing.T) {
 	grown := snap(
 		Result{Name: "access:hit", NsPerOp: 100},
 		Result{Name: "engine:serial fig2-128", NsPerOp: 5e9},
-		Result{Name: "engine:serial adaptive fig2-128", NsPerOp: 4e9},
+		Result{Name: "scenario:dragonfly fig2-128", NsPerOp: 4e9},
 	)
 	report, err = compareAgainstBaseline(path, grown, regressionThreshold)
 	if err != nil {

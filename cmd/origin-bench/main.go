@@ -66,9 +66,6 @@ type Result struct {
 	// fraction of all chain dispatches. 0 = perfectly shard-parallel,
 	// 1 = fully serialized.
 	CommitShare float64 `json:"commit_share,omitempty"`
-	// AvgWindowNS is the average conservative-window width in virtual
-	// nanoseconds (engine rows; varies only under -window adaptive).
-	AvgWindowNS float64 `json:"avg_window_ns,omitempty"`
 	// CPUs is the host core count the row was measured on. Wall-clock
 	// rows are only comparable across snapshots when it matches.
 	CPUs int `json:"cpus,omitempty"`
@@ -531,13 +528,13 @@ func (h hostAgg) stealHitRate() float64 {
 	return float64(h.hits) / float64(h.attempts)
 }
 
-// engineSweep runs the 128-processor Figure 2 sweep under the given engine,
-// worker count, and window policy, returning the total wall-clock, every
+// engineSweep runs the 128-processor Figure 2 sweep under the given engine
+// and worker count, returning the total wall-clock, every
 // run's result (for the bit-identity guard against the serial engine), the
 // aggregated schedule shape across the sweep's runs, and — when the scale
 // had HostProf set — the aggregated host-time profile.
-func engineSweep(engine string, workers int, window string, s experiments.Scale) (wall float64, results []experiments.RunResult, shape sim.SchedShape, host hostAgg, err error) {
-	s.Engine, s.Workers, s.Window = engine, workers, window
+func engineSweep(engine string, workers int, s experiments.Scale) (wall float64, results []experiments.RunResult, shape sim.SchedShape, host hostAgg, err error) {
+	s.Engine, s.Workers = engine, workers
 	var m *core.Machine
 	s.TraceSink = func(_ string, mm *core.Machine) { m = mm }
 	start := time.Now()
@@ -559,7 +556,6 @@ func engineSweep(engine string, workers int, window string, s experiments.Scale)
 		shape.CommitRuns += sh.CommitRuns
 		shape.RunAheadSpans += sh.RunAheadSpans
 		shape.RunAheadHandoffs += sh.RunAheadHandoffs
-		shape.WindowWidthSum += sh.WindowWidthSum
 		if hp := m.HostProf(); hp != nil {
 			host.add(hp.Report())
 		}
@@ -580,7 +576,6 @@ func engineRow(name string, wall float64, shape sim.SchedShape) Result {
 	if shape.Windows > 0 {
 		r.ShardChainsPerWindow = float64(shape.ShardChains) / float64(shape.Windows)
 		r.CommitRunsPerWindow = float64(shape.CommitRuns) / float64(shape.Windows)
-		r.AvgWindowNS = float64(shape.WindowWidthSum) / float64(shape.Windows) / float64(sim.Nanosecond)
 	}
 	if total := shape.CommitRuns + shape.ShardChains; total > 0 {
 		r.CommitShare = float64(shape.CommitRuns) / float64(total)
@@ -789,14 +784,14 @@ func main() {
 	// schedule; keep the fastest of three to damp host noise (the
 	// bit-identity guard still checks every attempt).
 	const sweepAttempts = 3
-	sweepSerial := func(window string) (float64, []experiments.RunResult, sim.SchedShape) {
-		wall, res, shape, _, err := engineSweep("serial", 0, window, benchScale)
+	sweepSerial := func() (float64, []experiments.RunResult, sim.SchedShape) {
+		wall, res, shape, _, err := engineSweep("serial", 0, benchScale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "origin-bench:", err)
 			os.Exit(1)
 		}
 		for i := 1; i < sweepAttempts; i++ {
-			w, _, _, _, err := engineSweep("serial", 0, window, benchScale)
+			w, _, _, _, err := engineSweep("serial", 0, benchScale)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "origin-bench:", err)
 				os.Exit(1)
@@ -807,18 +802,18 @@ func main() {
 		}
 		return wall, res, shape
 	}
-	sweepParallel := func(scale experiments.Scale, workers int, window string, ref []experiments.RunResult) (float64, sim.SchedShape, hostAgg) {
+	sweepParallel := func(scale experiments.Scale, workers int, ref []experiments.RunResult) (float64, sim.SchedShape, hostAgg) {
 		var bestWall float64
 		var bestShape sim.SchedShape
 		var bestHost hostAgg
 		for i := 0; i < sweepAttempts; i++ {
-			wall, res, shape, host, err := engineSweep("parallel", workers, window, scale)
+			wall, res, shape, host, err := engineSweep("parallel", workers, scale)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "origin-bench:", err)
 				os.Exit(1)
 			}
 			if !reflect.DeepEqual(res, ref) {
-				fmt.Fprintf(os.Stderr, "origin-bench: parallel engine (workers=%d window=%q hostprof=%v) diverged from serial results\n", workers, window, scale.HostProf)
+				fmt.Fprintf(os.Stderr, "origin-bench: parallel engine (workers=%d hostprof=%v) diverged from serial results\n", workers, scale.HostProf)
 				os.Exit(1)
 			}
 			if i == 0 || wall < bestWall {
@@ -828,31 +823,17 @@ func main() {
 		return bestWall, bestShape, bestHost
 	}
 
-	serialWall, serialRes, serialShape := sweepSerial("")
+	serialWall, serialRes, serialShape := sweepSerial()
 	add(engineRow("engine:serial fig2-128", serialWall, serialShape))
 	var wall4 float64
 	var shape4 sim.SchedShape
 	for _, w := range []int{1, 2, 4, 8} {
-		wall, shape, _ := sweepParallel(benchScale, w, "", serialRes)
+		wall, shape, _ := sweepParallel(benchScale, w, serialRes)
 		if w == 4 {
 			wall4, shape4 = wall, shape
 		}
 		r := engineRow(fmt.Sprintf("engine:parallel workers=%d fig2-128", w), wall, shape)
 		r.SpeedupVsSerial = serialWall / wall
-		r.SpeedupClaim = speedupClaim(runtime.NumCPU())
-		add(r)
-	}
-
-	// Adaptive-window sweep: same fig2-128 runs under -window adaptive.
-	// Adaptive widths change the schedule (and so the simulated results),
-	// so the bit-identity guard for its parallel row is the adaptive
-	// serial run, never the fixed-window one.
-	adWall, adRes, adShape := sweepSerial("adaptive")
-	add(engineRow("engine:serial adaptive fig2-128", adWall, adShape))
-	{
-		wall, shape, _ := sweepParallel(benchScale, 4, "adaptive", adRes)
-		r := engineRow("engine:parallel workers=4 adaptive fig2-128", wall, shape)
-		r.SpeedupVsSerial = adWall / wall
 		r.SpeedupClaim = speedupClaim(runtime.NumCPU())
 		add(r)
 	}
@@ -869,7 +850,7 @@ func main() {
 	{
 		profScale := benchScale
 		profScale.HostProf = true
-		wall, shape, host := sweepParallel(profScale, 4, "", serialRes)
+		wall, shape, host := sweepParallel(profScale, 4, serialRes)
 		r := engineRow("hostprof:on workers=4 fig2-128", wall, shape)
 		r.SpeedupVsSerial = serialWall / wall
 		r.SpeedupClaim = speedupClaim(runtime.NumCPU())
@@ -893,7 +874,7 @@ func main() {
 		}
 		scnScale := benchScale
 		scnScale.Scenario = &spec
-		wall, _, shape, _, err := engineSweep("serial", 0, "", scnScale)
+		wall, _, shape, _, err := engineSweep("serial", 0, scnScale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "origin-bench:", err)
 			os.Exit(1)

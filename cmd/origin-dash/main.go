@@ -26,35 +26,23 @@ import (
 	"net/http"
 	"os"
 
-	"origin2000/internal/core"
 	"origin2000/internal/scenario"
 )
 
 func main() {
 	var (
-		addr    = flag.String("addr", "localhost:8080", "listen address")
-		scale   = flag.Int("scale", 64, "default problem/cache scale divisor for sweeps")
-		engine  = flag.String("engine", "serial", "execution engine for sweeps: serial or parallel")
-		workers = flag.Int("workers", 0, "host workers for -engine=parallel (0 = GOMAXPROCS)")
-		window  = flag.String("window", "fixed", "window policy: fixed, fixed:<dur>, adaptive, adaptive:<dur>")
-		scenF   = flag.String("scenario", "", "default machine scenario for sweeps (preset name or spec .json); /api/start?scenario= overrides per sweep")
+		addr  = flag.String("addr", "localhost:8080", "listen address")
+		scale = flag.Int("scale", 64, "default problem/cache scale divisor for sweeps")
+		scenF = flag.String("scenario", "", "default machine scenario for sweeps (preset name or spec .json); /api/start?scenario= overrides per sweep")
 	)
 	flag.Parse()
 
-	if *engine != "serial" && *engine != "parallel" {
-		fmt.Fprintf(os.Stderr, "unknown engine %q (serial or parallel)\n", *engine)
-		os.Exit(2)
-	}
-	if _, _, _, err := core.ParseWindowSpec(*window); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	spec, err := scenario.Load(*scenF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	srv := newServer(*scale, *engine, *workers, *window)
+	srv := newServer(*scale)
 	srv.scenario = spec
 	log.Printf("origin-dash listening on http://%s/", *addr)
 	if err := http.ListenAndServe(*addr, srv.mux()); err != nil {

@@ -22,7 +22,7 @@ import (
 // before the first sample of that family, and the sharing gauges must be
 // present for a run that carries a report.
 func TestMetricsExpositionFormat(t *testing.T) {
-	srv := newServer(64, "", 0, "")
+	srv := newServer(64)
 	srv.runs = []*runState{
 		{
 			ID: 0, Label: "FFT-p4", App: "FFT", Procs: 4, Size: 4096,

@@ -54,9 +54,6 @@ type sseEvent struct {
 // server owns the runs and the SSE subscriber set.
 type server struct {
 	defaultScale int
-	engine       string
-	workers      int
-	window       string
 	scenario     scenario.Spec // default machine for sweeps; per-sweep override via ?scenario=
 
 	mu   sync.Mutex
@@ -64,15 +61,12 @@ type server struct {
 	subs map[chan sseEvent]struct{}
 }
 
-func newServer(defaultScale int, engine string, workers int, window string) *server {
+func newServer(defaultScale int) *server {
 	if defaultScale < 1 {
 		defaultScale = 64
 	}
 	return &server{
 		defaultScale: defaultScale,
-		engine:       engine,
-		workers:      workers,
-		window:       window,
 		scenario:     scenario.Default(),
 		subs:         make(map[chan sseEvent]struct{}),
 	}
@@ -210,11 +204,10 @@ func (s *server) handleStart(w http.ResponseWriter, r *http.Request) {
 func (s *server) sweep(wapp workload.App, spec scenario.Spec, ids, procCounts []int, scaleDiv int, interval sim.Time) {
 	for i, procs := range procCounts {
 		id := ids[i]
-		// Dashboard sweeps always sample metrics, which pins the parallel
-		// engine to one worker (observer policy); the flag still selects the
-		// engine so the windowed scheduler path gets exercised end to end.
-		sc := experiments.Scale{Div: scaleDiv, CacheDiv: scaleDiv,
-			Engine: s.engine, Workers: s.workers, Window: s.window, Scenario: &spec}
+		// Dashboard sweeps always sample metrics, which pins every run to
+		// one host worker (core.EffectiveWorkers), so they use the default
+		// serial engine.
+		sc := experiments.Scale{Div: scaleDiv, CacheDiv: scaleDiv, Scenario: &spec}
 		sc.Trace.Enabled = true
 		// Host-time profiling is schedule-neutral, so it is always on for
 		// dashboard runs; the panel shows where the engine spends host time.

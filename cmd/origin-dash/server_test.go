@@ -27,7 +27,7 @@ import (
 // written to the ORIGIN_TRACE_ARTIFACTS directory (when set) so CI uploads
 // it with the failure.
 func TestDashSmoke(t *testing.T) {
-	srv := newServer(64, "parallel", 2, "adaptive")
+	srv := newServer(64)
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
 
@@ -204,7 +204,7 @@ func TestDashSmoke(t *testing.T) {
 // conflated), label the run with the machine, and still run to completion;
 // an unknown scenario must be rejected up front, not fail mid-sweep.
 func TestStartScenarioAttribution(t *testing.T) {
-	srv := newServer(64, "", 0, "")
+	srv := newServer(64)
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
 
@@ -256,7 +256,7 @@ func TestStartScenarioAttribution(t *testing.T) {
 // though no event ever arrives to wake it. A leaked handler would pin its
 // subscriber channel forever and the server would slowly accumulate both.
 func TestEventsDisconnect(t *testing.T) {
-	srv := newServer(64, "", 0, "")
+	srv := newServer(64)
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
 

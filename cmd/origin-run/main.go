@@ -60,7 +60,6 @@ func main() {
 		hostprofF = flag.String("hostprof", "", "profile the engine's host time and write a Perfetto timeline here (parallel engine; schedule-neutral)")
 		engine    = flag.String("engine", "serial", "execution engine: serial, or parallel (bit-identical, faster wall clock)")
 		workers   = flag.Int("workers", 0, "host workers for -engine=parallel (0 = GOMAXPROCS)")
-		window    = flag.String("window", "fixed", "window policy: fixed, fixed:<dur>, adaptive, adaptive:<dur>")
 		ckptEvery = flag.String("checkpoint-every", "", "capture an originckpt snapshot every virtual duration (e.g. 1ms, 100us)")
 		ckptDir   = flag.String("checkpoint-dir", "checkpoints", "directory for -checkpoint-every snapshot files")
 		scenarioF = flag.String("scenario", "", "machine scenario: a preset name (origin, mesh, fattree, limited, ...) or a spec .json file; empty = the default Origin machine")
@@ -108,12 +107,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown engine %q (serial or parallel)\n", *engine)
 		os.Exit(2)
 	}
-	if _, _, _, err := core.ParseWindowSpec(*window); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	s := experiments.Scale{Div: *scale, CacheDiv: *scale, Steps: *steps, Seed: *seed,
-		Engine: *engine, Workers: *workers, Window: *window, Scenario: &spec}
+		Engine: *engine, Workers: *workers, Scenario: &spec}
 	if err := spec.Validate(*procs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -133,7 +128,7 @@ func main() {
 	case "random":
 		cfg.Mapping = topology.Random(*procs, *seed)
 	case "gray":
-		cfg.Mapping = topology.GrayPairs(*procs, cfg.ProcsPerNode, cfg.NodesPerRouter)
+		cfg.Mapping = topology.GrayPairs(*procs, cfg.ProcsPerNode, core.NodesPerRouter)
 	case "split":
 		cfg.Mapping = topology.SplitPairs(*procs)
 	default:
@@ -295,9 +290,10 @@ func summarize(m *core.Machine) {
 // runResume implements -resume: decode the snapshot, rebuild the exact
 // machine configuration and workload parameters its header records, replay
 // to the recorded quiescent point under the requested engine, prove state
-// equality, and run to completion. The window policy always comes from the
-// snapshot (the quiescent-sequence numbering depends on it); the engine and
-// worker count may be changed freely — results are bit-identical.
+// equality, and run to completion. The window width always comes from the
+// snapshot's configuration (the quiescent-sequence numbering depends on
+// it); the engine and worker count may be changed freely — results are
+// bit-identical.
 func runResume(path, scenarioArg, engine string, workers int, every sim.Time, ckptDir string) {
 	sn, err := snapshot.ReadFile(path)
 	if err != nil {

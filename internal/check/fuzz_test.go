@@ -19,9 +19,8 @@ import (
 func runTrace(tr check.Trace, fault func(block uint64, proc int) bool) error {
 	tr.Normalize()
 	cfg := core.Config{
-		Procs:          tr.Procs,
-		ProcsPerNode:   2,
-		NodesPerRouter: 2,
+		Procs:        tr.Procs,
+		ProcsPerNode: 2,
 		// A tiny cache forces evictions, so replacement hints and
 		// writebacks run constantly alongside the sharing traffic.
 		Cache:              cache.Config{SizeBytes: 8 << 10, BlockBytes: 128, Assoc: 2},

@@ -128,11 +128,10 @@ func Run(t Test) (outcomes []string, err error) {
 
 func runOnce(t Test, assignment []int) (string, error) {
 	cfg := core.Config{
-		Procs:          len(t.Bodies),
-		ProcsPerNode:   1,
-		NodesPerRouter: 2,
-		Cache:          cache.Config{SizeBytes: 8 << 10, BlockBytes: core.BlockBytes, Assoc: 2},
-		Check:          true,
+		Procs:        len(t.Bodies),
+		ProcsPerNode: 1,
+		Cache:        cache.Config{SizeBytes: 8 << 10, BlockBytes: core.BlockBytes, Assoc: 2},
+		Check:        true,
 	}
 	m := core.New(cfg)
 	env := &Env{

@@ -11,8 +11,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"origin2000/internal/cache"
 	"origin2000/internal/mempolicy"
@@ -115,8 +113,6 @@ type Config struct {
 	// ProcsPerNode is processors per Hub (2 on the Origin; 1 for the
 	// Section 7.2 experiments).
 	ProcsPerNode int
-	// NodesPerRouter is nodes per router (2 on the Origin).
-	NodesPerRouter int
 	// ClockMHz is the processor frequency (195 for the R10000).
 	ClockMHz int
 	// Cache is the per-processor cache geometry.
@@ -131,7 +127,8 @@ type Config struct {
 	// Mapping maps logical process i to physical processor Mapping[i];
 	// nil means linear.
 	Mapping topology.Mapping
-	// Quantum is the scheduler run-ahead bound (0 selects the default).
+	// Quantum is the engine's window width W, fixed for the whole run
+	// (0 selects sim.DefaultQuantum). The quantum ablation varies it.
 	Quantum sim.Time
 	// MaxPrefetch bounds outstanding prefetches per processor (default 8).
 	MaxPrefetch int
@@ -148,10 +145,6 @@ type Config struct {
 	// with many nodes models the paper's uniprocessor baseline, whose
 	// data can exceed one node's memory (Ocean's superlinearity).
 	ForceNodes int
-	// ForceMetarouters builds the interconnect from 8-router modules and
-	// metarouters even when a full hypercube would fit — the Section 7.1
-	// with/without-metarouter comparison at 64 processors.
-	ForceMetarouters bool
 	// Check enables the online coherence-invariant checker
 	// (internal/check): every directory transaction and cache fill/evict
 	// is verified against a mirrored protocol state and a golden memory
@@ -180,17 +173,6 @@ type Config struct {
 	// GOMAXPROCS). Ignored under Engine "serial". Any value produces
 	// bit-identical results; it only changes wall-clock speed.
 	Workers int
-	// WindowPolicy selects how the engine sizes its conservative window:
-	// "" or "fixed" keeps the constant width Quantum; "adaptive" lets the
-	// engine resize the window between Quantum and WindowMax from
-	// deterministic virtual-time observables of the committed schedule
-	// (see sim.AdaptWindow). Either policy is bit-identical at any worker
-	// count; they are distinct deterministic schedules, so results are
-	// comparable within a policy, not across policies.
-	WindowPolicy string
-	// WindowMax caps the adaptive window width (0 selects 64x Quantum).
-	// Ignored under WindowPolicy "fixed".
-	WindowMax sim.Time
 	// HostProf enables the engine host-time profiler (internal/hostprof):
 	// per-worker timelines of window phases, steal attempts, serial-phase
 	// shares and turnover latency, plus Perfetto export. Gating contract as
@@ -257,79 +239,55 @@ type CheckpointConfig struct {
 // given processor count.
 func Origin2000(procs int) Config {
 	return Config{
-		Procs:          procs,
-		ProcsPerNode:   2,
-		NodesPerRouter: 2,
-		ClockMHz:       195,
-		Cache:          cache.Origin2000L2,
-		Lat:            Origin2000Latencies(),
-		Placement:      mempolicy.FirstTouch,
-		MaxPrefetch:    8,
+		Procs:        procs,
+		ProcsPerNode: 2,
+		ClockMHz:     195,
+		Cache:        cache.Origin2000L2,
+		Lat:          Origin2000Latencies(),
+		Placement:    mempolicy.FirstTouch,
+		MaxPrefetch:  8,
 	}
 }
 
-// Table1Machine identifies a latency preset from the paper's Table 1.
-type Table1Machine int
-
-// The machines compared in Table 1.
-const (
-	MachineOrigin2000 Table1Machine = iota
-	MachineExemplarX
-	MachineNUMALiiNE
-	MachineHalS1
-	MachineNUMAQ
-)
-
-func (m Table1Machine) String() string {
-	switch m {
-	case MachineOrigin2000:
-		return "Origin2000"
-	case MachineExemplarX:
-		return "Convex Exemplar X"
-	case MachineNUMALiiNE:
-		return "Data General NUMALiiNE"
-	case MachineHalS1:
-		return "Hal S1"
-	case MachineNUMAQ:
-		return "Sequent NUMAQ"
-	}
-	return "unknown"
-}
-
-// Table1Latencies returns the latency preset for one of Table 1's machines.
-// Only the components that differentiate the rows change: local-memory
-// path, remote protocol overhead, and intervention cost.
-func Table1Latencies(m Table1Machine) Latencies {
+// Table1Latencies returns the latency preset of one of Table 1's machines,
+// named as in scenario.LatencyPresets. Only the components that
+// differentiate the rows change: local-memory path, remote protocol
+// overhead, and intervention cost. It panics on any other name;
+// scenario.Spec.Validate rejects those first.
+func Table1Latencies(preset string) Latencies {
 	l := Origin2000Latencies()
-	switch m {
-	case MachineExemplarX:
+	switch preset {
+	case "origin2000":
+	case "exemplar-x":
 		// Local 450, remote ~3:1 clean, 5:1 dirty.
 		l.ProcOverhead = 90 * sim.Nanosecond
 		l.HubTime = 70 * sim.Nanosecond
 		l.MemTime = 220 * sim.Nanosecond
 		l.RemoteExtra = 500 * sim.Nanosecond
 		l.CacheResponse = 400 * sim.Nanosecond
-	case MachineNUMALiiNE:
+	case "numaliine":
 		// Local 240, remote 10:1 clean, 14:1 dirty (SCI ring).
 		l.ProcOverhead = 40 * sim.Nanosecond
 		l.HubTime = 30 * sim.Nanosecond
 		l.MemTime = 140 * sim.Nanosecond
 		l.RemoteExtra = 1900 * sim.Nanosecond
 		l.CacheResponse = 800 * sim.Nanosecond
-	case MachineHalS1:
+	case "hal-s1":
 		// Local 240, remote 5:1 clean, 6:1 dirty.
 		l.ProcOverhead = 40 * sim.Nanosecond
 		l.HubTime = 30 * sim.Nanosecond
 		l.MemTime = 140 * sim.Nanosecond
 		l.RemoteExtra = 600 * sim.Nanosecond
 		l.CacheResponse = 200 * sim.Nanosecond
-	case MachineNUMAQ:
+	case "numa-q":
 		// Local 240, remote 10:1 clean (dirty N/A in the paper).
 		l.ProcOverhead = 40 * sim.Nanosecond
 		l.HubTime = 30 * sim.Nanosecond
 		l.MemTime = 140 * sim.Nanosecond
 		l.RemoteExtra = 2000 * sim.Nanosecond
 		l.CacheResponse = 800 * sim.Nanosecond
+	default:
+		panic(fmt.Sprintf("core: unknown latency preset %q", preset))
 	}
 	return l
 }
@@ -347,23 +305,6 @@ func (c *Config) ScenarioSpec() scenario.Spec {
 // stamped into checkpoint headers and bench snapshot rows; resume refuses
 // a snapshot whose hash differs from the requested run's.
 func (c *Config) ScenarioHash() string { return c.ScenarioSpec().Hash() }
-
-// table1ByName maps a scenario latency-preset name to its Table-1 row.
-func table1ByName(name string) (Table1Machine, bool) {
-	switch name {
-	case "", "origin2000":
-		return MachineOrigin2000, true
-	case "exemplar-x":
-		return MachineExemplarX, true
-	case "numaliine":
-		return MachineNUMALiiNE, true
-	case "hal-s1":
-		return MachineHalS1, true
-	case "numa-q":
-		return MachineNUMAQ, true
-	}
-	return 0, false
-}
 
 // Validate checks the configuration against its scenario: kinds and
 // parameters must be known, and the processor count must not exceed the
@@ -389,9 +330,6 @@ func (c *Config) normalize() {
 	if c.ProcsPerNode < 1 {
 		c.ProcsPerNode = 2
 	}
-	if c.NodesPerRouter < 1 {
-		c.NodesPerRouter = 2
-	}
 	if c.ClockMHz <= 0 {
 		c.ClockMHz = 195
 	}
@@ -401,8 +339,7 @@ func (c *Config) normalize() {
 	if c.Lat == (Latencies{}) {
 		// The scenario's latency preset fills in only when the caller left
 		// Lat zero, so explicitly calibrated configs are never overridden.
-		m, _ := table1ByName(c.ScenarioSpec().Latency)
-		c.Lat = Table1Latencies(m)
+		c.Lat = Table1Latencies(c.ScenarioSpec().Latency)
 	}
 	if c.MaxPrefetch <= 0 {
 		c.MaxPrefetch = 8
@@ -414,49 +351,9 @@ func (c *Config) normalize() {
 	default:
 		panic(fmt.Sprintf("core: unknown engine %q (want serial or parallel)", c.Engine))
 	}
-	switch c.WindowPolicy {
-	case "", "fixed":
-		c.WindowPolicy = "fixed"
-	case "adaptive":
-	default:
-		panic(fmt.Sprintf("core: unknown window policy %q (want fixed or adaptive)", c.WindowPolicy))
-	}
 	// The window may not be narrower than the machine's cross-node
 	// lookahead; see Latencies.Lookahead.
 	if c.Quantum > 0 && c.Quantum < c.Lat.Lookahead() {
 		c.Quantum = c.Lat.Lookahead()
 	}
-}
-
-// ParseWindowSpec parses a -window flag value into Config fields. Accepted
-// forms:
-//
-//	fixed            the default constant-width window (Config.Quantum)
-//	fixed:<dur>      constant width <dur> (e.g. fixed:4us)
-//	adaptive         adaptive sizing between Quantum and 64x Quantum
-//	adaptive:<dur>   adaptive sizing with ceiling <dur>
-//
-// Durations use Go syntax ("500ns", "4us", "1ms"). The returned quantum is
-// zero unless the spec fixes one, and max is zero unless the spec caps the
-// adaptive width.
-func ParseWindowSpec(spec string) (policy string, quantum, max sim.Time, err error) {
-	head, arg := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		head, arg = spec[:i], spec[i+1:]
-	}
-	var d sim.Time
-	if arg != "" {
-		td, perr := time.ParseDuration(arg)
-		if perr != nil || td <= 0 {
-			return "", 0, 0, fmt.Errorf("core: bad window duration %q in %q", arg, spec)
-		}
-		d = sim.Time(td.Nanoseconds()) * sim.Nanosecond
-	}
-	switch head {
-	case "", "fixed":
-		return "fixed", d, 0, nil
-	case "adaptive":
-		return "adaptive", 0, d, nil
-	}
-	return "", 0, 0, fmt.Errorf("core: unknown window policy %q (want fixed[:<dur>] or adaptive[:<dur>])", spec)
 }

@@ -404,9 +404,9 @@ func TestDirectoryInvariantsAfterRandomSharing(t *testing.T) {
 func TestTable1PresetOrdering(t *testing.T) {
 	// The Table 1 machines must order by remote/local ratio as in the
 	// paper: Origin (2:1) < HAL S1 (5:1) < NUMALiiNE (10:1).
-	probe := func(mach core.Table1Machine) (local, remote sim.Time) {
+	probe := func(preset string) (local, remote sim.Time) {
 		cfg := core.Origin2000(64)
-		cfg.Lat = core.Table1Latencies(mach)
+		cfg.Lat = core.Table1Latencies(preset)
 		m := core.New(cfg)
 		arr := m.Alloc("a", 4096, 8)
 		arr.PlaceAtNode(0)
@@ -425,9 +425,9 @@ func TestTable1PresetOrdering(t *testing.T) {
 		}
 		return
 	}
-	lo, ro := probe(core.MachineOrigin2000)
-	lh, rh := probe(core.MachineHalS1)
-	ln, rn := probe(core.MachineNUMALiiNE)
+	lo, ro := probe("origin2000")
+	lh, rh := probe("hal-s1")
+	ln, rn := probe("numaliine")
 	ratio := func(l, r sim.Time) float64 { return float64(r) / float64(l) }
 	if !(ratio(lo, ro) < ratio(lh, rh) && ratio(lh, rh) < ratio(ln, rn)) {
 		t.Errorf("ratios not ordered: origin=%.1f hal=%.1f numaline=%.1f",

@@ -10,10 +10,9 @@ import (
 func tlbMachine(t *testing.T, procs int) *Machine {
 	t.Helper()
 	return New(Config{
-		Procs:          procs,
-		ProcsPerNode:   2,
-		NodesPerRouter: 2,
-		Cache:          cache.Config{SizeBytes: 8 << 10, BlockBytes: BlockBytes, Assoc: 2},
+		Procs:        procs,
+		ProcsPerNode: 2,
+		Cache:        cache.Config{SizeBytes: 8 << 10, BlockBytes: BlockBytes, Assoc: 2},
 	})
 }
 
@@ -75,10 +74,9 @@ func TestHomeTLBGenerationInvalidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
-				Procs:          4,
-				ProcsPerNode:   2,
-				NodesPerRouter: 2,
-				Cache:          cache.Config{SizeBytes: 8 << 10, BlockBytes: BlockBytes, Assoc: 2},
+				Procs:        4,
+				ProcsPerNode: 2,
+				Cache:        cache.Config{SizeBytes: 8 << 10, BlockBytes: BlockBytes, Assoc: 2},
 			}
 			if tc.name == "migration via remote-miss counters" {
 				cfg.MigrationThreshold = 4

@@ -23,6 +23,10 @@ const BlockBytes = 128
 
 const blockShift = 7
 
+// NodesPerRouter is the number of nodes (Hubs) sharing one router, as on
+// the Origin.
+const NodesPerRouter = 2
+
 // BlockOf returns the block number containing addr.
 func BlockOf(addr uint64) uint64 { return addr >> blockShift }
 
@@ -72,7 +76,7 @@ func New(cfg Config) *Machine {
 	if cfg.ForceNodes > numNodes {
 		numNodes = cfg.ForceNodes
 	}
-	numRouters := (numNodes + cfg.NodesPerRouter - 1) / cfg.NodesPerRouter
+	numRouters := (numNodes + NodesPerRouter - 1) / NodesPerRouter
 	// The scenario declares the interconnect and the directory's sharer
 	// format. normalize validated it; the default spec builds exactly the
 	// machine New hard-coded before scenarios existed.
@@ -84,7 +88,7 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		cfg:        cfg,
 		eng:        sim.NewEngine(cfg.Procs, cfg.Quantum),
-		fabric:     spec.Network(numRouters, cfg.ForceMetarouters),
+		fabric:     spec.Network(numRouters),
 		dirs:       make([]*directory.Directory, numNodes),
 		numNodes:   numNodes,
 		numRouters: numRouters,
@@ -153,7 +157,7 @@ func New(cfg Config) *Machine {
 			m:        m,
 			sp:       m.eng.Proc(i),
 			node:     node,
-			router:   node / cfg.NodesPerRouter,
+			router:   node / NodesPerRouter,
 			cache:    cache.New(cfg.Cache),
 			prefetch: make(map[uint64]sim.Time),
 		}
@@ -382,7 +386,7 @@ func (m *Machine) homeOf(page uint64, touchNode int) int {
 }
 
 // routerOfNode returns the router a node hangs off.
-func (m *Machine) routerOfNode(node int) int { return node / m.cfg.NodesPerRouter }
+func (m *Machine) routerOfNode(node int) int { return node / NodesPerRouter }
 
 // pageRemapped observes every move of an already-homed page — dynamic
 // migration and overriding SetHome alike — via the page table's OnRemap

@@ -31,9 +31,6 @@ func (m *Machine) setupShards() {
 		shardOf[i] = p.router
 	}
 	m.eng.SetShards(shardOf, m.numRouters)
-	if m.cfg.WindowPolicy == "adaptive" {
-		m.eng.SetAdaptiveWindow(m.cfg.WindowMax)
-	}
 	if tr := m.tracer; tr != nil {
 		tr.SetShards(shardOf, m.numRouters)
 	}

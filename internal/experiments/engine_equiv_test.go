@@ -122,33 +122,6 @@ func TestEngineEquivalenceAllApps(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceAdaptiveWindows extends the contract to adaptive
-// window sizing: the width sequence is a pure function of virtual-time
-// observables (sim.AdaptWindow), so an adaptive run must also be
-// bit-identical across engines and worker counts — and identical whether
-// the serial or the parallel engine resizes. Covers a lock-heavy app
-// (Barnes, whose critical regions span window edges), a barrier-phased one
-// (FFT), and a task-stealing one (Raytrace).
-func TestEngineEquivalenceAdaptiveWindows(t *testing.T) {
-	for _, name := range []string{"Barnes", "FFT", "Raytrace"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			adaptive := func(cfg *core.Config) {
-				cfg.WindowPolicy = "adaptive"
-			}
-			serial, _ := engineRun(t, name, "serial", 0, adaptive)
-			for _, workers := range []int{1, 2, 8} {
-				par, _ := engineRun(t, name, "parallel", workers, adaptive)
-				if !reflect.DeepEqual(serial, par) {
-					t.Errorf("adaptive workers=%d results differ between engines:\nserial   %+v\nparallel %+v",
-						workers, serial, par)
-				}
-			}
-		})
-	}
-}
-
 // TestEngineEquivalenceMigration covers the hardest cross-shard path: with
 // round-robin placement and a low migration threshold, remote misses mutate
 // the shared page table and move directory records between shards mid-run.

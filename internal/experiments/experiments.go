@@ -68,10 +68,6 @@ type Scale struct {
 	// Workers bounds the parallel engine's host workers (0 = GOMAXPROCS;
 	// ignored for the serial engine).
 	Workers int
-	// Window selects the engine's window policy in -window flag syntax
-	// ("fixed", "fixed:<dur>", "adaptive", "adaptive:<dur>"; empty =
-	// fixed at the machine's default quantum). See core.ParseWindowSpec.
-	Window string
 	// HostProf enables the host-time profiler on every machine the scale
 	// builds. Unlike Check/Metrics it does NOT force workers=1: the
 	// profiler is schedule-neutral by contract.
@@ -141,17 +137,6 @@ func (s Scale) Machine(procs int) core.Config {
 			// Origin2000() preset the default latencies; zero them so
 			// normalize resolves the scenario's Table-1 preset instead.
 			cfg.Lat = core.Latencies{}
-		}
-	}
-	if s.Window != "" {
-		policy, quantum, max, err := core.ParseWindowSpec(s.Window)
-		if err != nil {
-			panic(err)
-		}
-		cfg.WindowPolicy = policy
-		cfg.WindowMax = max
-		if quantum > 0 {
-			cfg.Quantum = quantum
 		}
 	}
 	return cfg

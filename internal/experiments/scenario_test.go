@@ -138,16 +138,20 @@ func TestScenarioEngineEquivalence(t *testing.T) {
 // the simulated timing — a "scenario" that produces byte-identical results
 // to the default machine is plumbing that got lost on the way down.
 // Topologies are probed with FFT (every remote miss crosses the fabric);
-// directory formats with Ocean, the study's write-sharing app — and since
-// Ocean's sharer counts stay within the default 4-pointer budget at this
-// scale, the limited-pointer probe drops to one pointer to force the
-// broadcast path.
+// forced metarouters at 64 processors, since a 32-processor fabric is one
+// 8-router module with or without them. Directory formats are probed with
+// Ocean, the study's write-sharing app — and since Ocean's sharer counts
+// stay within the default 4-pointer budget at this scale, the
+// limited-pointer probe drops to one pointer to force the broadcast path.
 func TestScenariosChangeTheMachine(t *testing.T) {
-	base := scenarioRun(t, "FFT", "origin", "serial", 0, 32, false)
-	for _, scn := range []string{"mesh", "fattree"} {
-		r := scenarioRun(t, "FFT", scn, "serial", 0, 32, false)
+	for _, tc := range []struct {
+		scn   string
+		procs int
+	}{{"mesh", 32}, {"fattree", 32}, {"origin-meta", 64}} {
+		base := scenarioRun(t, "FFT", "origin", "serial", 0, tc.procs, false)
+		r := scenarioRun(t, "FFT", tc.scn, "serial", 0, tc.procs, false)
 		if r.Elapsed == base.Elapsed {
-			t.Errorf("scenario %s: elapsed time identical to the default machine (%v) — the spec did not reach the simulator", scn, base.Elapsed)
+			t.Errorf("scenario %s: elapsed time identical to the default machine (%v) — the spec did not reach the simulator", tc.scn, base.Elapsed)
 		}
 	}
 	obase := scenarioRun(t, "Ocean", "origin", "serial", 0, 32, false)

@@ -6,6 +6,7 @@ import (
 
 	"origin2000/internal/core"
 	"origin2000/internal/perf"
+	"origin2000/internal/scenario"
 	"origin2000/internal/sim"
 	"origin2000/internal/synchro"
 	"origin2000/internal/topology"
@@ -194,15 +195,14 @@ func Sec71Mapping(se *Session, w io.Writer) error {
 	rows = [][]string{{"FFT at 64 procs", "Elapsed (ms)"}}
 	for _, meta := range []bool{false, true} {
 		app := AppByName("FFT")
-		cfg := se.Scale.Machine(64)
-		cfg.ForceMetarouters = meta
-		r, err := se.Scale.RunConfig(app, cfg, se.Scale.SweepParams(app, 1<<22, ""))
+		s, label := se.Scale, "full hypercube"
+		if meta {
+			spec, _ := scenario.Named("origin-meta")
+			s.Scenario, label = &spec, "hypercube modules + metarouters"
+		}
+		r, err := s.RunConfig(app, s.Machine(64), s.SweepParams(app, 1<<22, ""))
 		if err != nil {
 			return err
-		}
-		label := "full hypercube"
-		if meta {
-			label = "hypercube modules + metarouters"
 		}
 		rows = append(rows, []string{label, fmt.Sprintf("%.2f", r.Elapsed.Milliseconds())})
 	}

@@ -63,13 +63,18 @@ func LatencyProbe(lat core.Latencies) (local, clean, dirty sim.Time, err error) 
 	return
 }
 
-// paperTable1 holds the paper's measured values for comparison.
-var paperTable1 = map[core.Table1Machine][3]int{ // local, clean, dirty (ns)
-	core.MachineOrigin2000: {338, 656, 892},
-	core.MachineExemplarX:  {450, 1315, 1955},
-	core.MachineNUMALiiNE:  {240, 2400, 3400},
-	core.MachineHalS1:      {240, 1065, 1365},
-	core.MachineNUMAQ:      {240, 2500, 0},
+// table1Rows are Table 1's rows: each machine's latency preset (a
+// scenario.LatencyPresets name), its display label, and the paper's
+// measured local, remote-clean and remote-dirty latencies in ns.
+var table1Rows = []struct {
+	preset, label string
+	paper         [3]int
+}{
+	{"origin2000", "Origin2000", [3]int{338, 656, 892}},
+	{"exemplar-x", "Convex Exemplar X", [3]int{450, 1315, 1955}},
+	{"numaliine", "Data General NUMALiiNE", [3]int{240, 2400, 3400}},
+	{"hal-s1", "Hal S1", [3]int{240, 1065, 1365}},
+	{"numa-q", "Sequent NUMAQ", [3]int{240, 2500, 0}},
 }
 
 // Table1 regenerates the latency comparison across the five machines.
@@ -78,18 +83,14 @@ func Table1(w io.Writer) error {
 		"Machine", "Local(ns)", "RemoteClean(ns)", "RemoteDirty(ns)",
 		"Clean ratio", "Dirty ratio", "paper(L/C/D)",
 	}}
-	machines := []core.Table1Machine{
-		core.MachineOrigin2000, core.MachineExemplarX, core.MachineNUMALiiNE,
-		core.MachineHalS1, core.MachineNUMAQ,
-	}
-	for _, mach := range machines {
-		local, clean, dirty, err := LatencyProbe(core.Table1Latencies(mach))
+	for _, mach := range table1Rows {
+		local, clean, dirty, err := LatencyProbe(core.Table1Latencies(mach.preset))
 		if err != nil {
 			return err
 		}
-		pp := paperTable1[mach]
+		pp := mach.paper
 		rows = append(rows, []string{
-			mach.String(),
+			mach.label,
 			fmt.Sprintf("%.0f", local.Nanoseconds()),
 			fmt.Sprintf("%.0f", clean.Nanoseconds()),
 			fmt.Sprintf("%.0f", dirty.Nanoseconds()),

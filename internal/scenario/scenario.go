@@ -167,9 +167,7 @@ func (s Spec) Hash() string {
 }
 
 // Network builds the spec's interconnect over numRouters routers.
-// forceMeta is ORed into the origin fabric's metarouter forcing so the
-// legacy Config.ForceMetarouters knob keeps working.
-func (s Spec) Network(numRouters int, forceMeta bool) topology.Network {
+func (s Spec) Network(numRouters int) topology.Network {
 	n := s.Normalized()
 	switch n.Topology.Kind {
 	case "mesh2d":
@@ -179,7 +177,7 @@ func (s Spec) Network(numRouters int, forceMeta bool) topology.Network {
 	case "dragonfly":
 		return topology.NewDragonfly(numRouters, n.Topology.GroupSize)
 	default:
-		return topology.NewFabricModules(numRouters, forceMeta || n.Topology.ForceMetarouters)
+		return topology.NewFabricModules(numRouters, n.Topology.ForceMetarouters)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestNamedPresetsValidate(t *testing.T) {
 				t.Fatalf("%s at %dp: %v", name, procs, err)
 			}
 		}
-		n := s.Network(32, false)
+		n := s.Network(32)
 		if n.NumRouters() != 32 {
 			t.Fatalf("%s: network has %d routers", name, n.NumRouters())
 		}

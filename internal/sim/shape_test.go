@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 // windowedShape runs a 4-proc, 4-shard workload with global sections (so
-// windows, phase-1 chains, and commit chains all occur) under the fixed
-// window policy and returns the schedule shape.
+// windows, phase-1 chains, and commit chains all occur) and returns the
+// schedule shape.
 func windowedShape(t *testing.T, workers int) SchedShape {
 	t.Helper()
 	e := NewEngine(4, 500*Nanosecond)
@@ -27,8 +27,8 @@ func windowedShape(t *testing.T, workers int) SchedShape {
 
 // TestSchedShapeInvariants pins the internal consistency of the schedule-
 // shape counters on a windowed run: the per-window counters must be
-// consistent with the totals, SchedStats must agree with Shape, and the
-// fixed policy's window widths must all equal the quantum.
+// consistent with the totals, SchedStats must agree with Shape, and every
+// window's width must equal the quantum.
 func TestSchedShapeInvariants(t *testing.T) {
 	e := NewEngine(4, 500*Nanosecond)
 	e.SetShards([]int{0, 1, 2, 3}, 4)
@@ -49,7 +49,7 @@ func TestSchedShapeInvariants(t *testing.T) {
 	if s.Windows <= 0 || s.ShardChains <= 0 || s.Commits <= 0 || s.CommitRuns <= 0 {
 		t.Fatalf("workload was built to exercise every counter, shape %+v", s)
 	}
-	// Fixed policy: every windowed round is exactly one quantum wide.
+	// Every windowed round is exactly one quantum wide.
 	if want := Time(s.Windows) * 500 * Nanosecond; s.WindowWidthSum != want {
 		t.Errorf("WindowWidthSum = %v, want Windows*quantum = %v", s.WindowWidthSum, want)
 	}
@@ -106,5 +106,33 @@ func TestSchedShapeRunAhead(t *testing.T) {
 	}
 	if s.ShardChains != 0 {
 		t.Errorf("run-ahead-only run dispatched phase-1 chains: %+v", s)
+	}
+}
+
+// TestRunAheadPingPong pins the run-ahead fast path structurally: a
+// 2-processor machine whose processors share one shard and wake each other
+// must run entirely inside run-ahead spans — no windowed rounds at all —
+// and hand off directly between the processors.
+func TestRunAheadPingPong(t *testing.T) {
+	e := NewEngine(2, DefaultQuantum)
+	e.SetShards([]int{0, 0}, 1)
+	e.SetWorkers(2)
+	err := e.Run(func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Advance(10*Microsecond, StatBusy)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.Shape()
+	if s.RunAheadSpans < 1 {
+		t.Fatalf("expected at least one run-ahead span, shape %+v", s)
+	}
+	if s.Windows != 0 {
+		t.Fatalf("single-shard ping-pong should never open a window, shape %+v", s)
+	}
+	if s.RunAheadHandoffs == 0 {
+		t.Fatalf("expected direct handoffs inside the run-ahead span, shape %+v", s)
 	}
 }

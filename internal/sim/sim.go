@@ -61,18 +61,6 @@
 // timing), so results remain bit-identical at any worker count. Waking a
 // processor of another shard ends the mode at the waker's next yield.
 //
-// # Adaptive windows
-//
-// With SetAdaptiveWindow the window width is resized at each window open
-// from observables of the committed schedule itself (how many shard chains
-// ran, how many processors crossed shards, how often the serial commit
-// chain resumed since the previous open): spans with no cross-shard work
-// or with phase 1 running underfilled widen the window — turnover is pure
-// overhead there — and commit-heavy spans at full phase-1 occupancy shrink
-// it back toward the base width. The inputs are virtual-time quantities,
-// identical at any worker count, so the resulting schedule is too (see
-// AdaptWindow).
-//
 // Shared hardware resources (memory controllers, network routers, ...) are
 // modeled as Resource timelines: a transaction occupies a resource for some
 // duration and queues behind earlier transactions, which is how the engine
@@ -216,18 +204,8 @@ type abandonRun struct{}
 // Engine coordinates a set of simulated processors.
 type Engine struct {
 	procs   []*Proc
-	window  Time // current window width W
+	window  Time // window width W, fixed for the engine's lifetime
 	workers int  // max concurrently executing shard chains in phase 1
-
-	// Adaptive window sizing (SetAdaptiveWindow). The marks snapshot the
-	// shape counters at the previous window open; the deltas are the
-	// observables AdaptWindow resizes from.
-	windowBase  Time // NewEngine's quantum: the fixed width, and the adaptive floor
-	windowMax   Time // adaptive ceiling
-	adaptive    bool
-	markChains  int64
-	markCommits int64
-	markRuns    int64
 
 	numShards  int
 	shardHeaps []procHeap // phase-1 run queues, one per shard
@@ -293,9 +271,8 @@ func NewEngine(n int, quantum Time) *Engine {
 		quantum = DefaultQuantum
 	}
 	e := &Engine{
-		window:     quantum,
-		windowBase: quantum,
-		workers:    1,
+		window:  quantum,
+		workers: 1,
 	}
 	e.procs = make([]*Proc, n)
 	for i := range e.procs {
@@ -347,28 +324,8 @@ func (e *Engine) SetWorkers(n int) {
 // Workers reports the phase-1 worker bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Window reports the current window width W (the base width unless
-// adaptive sizing has resized it).
+// Window reports the window width W.
 func (e *Engine) Window() Time { return e.window }
-
-// SetAdaptiveWindow lets the engine resize the window between the base
-// width (NewEngine's quantum) and max (0 selects 64x the base) using the
-// AdaptWindow policy. The policy's inputs are virtual-time observables of
-// the committed schedule, so the resulting schedule — like everything else
-// in the engine — is bit-identical at any worker count. Call before Run.
-func (e *Engine) SetAdaptiveWindow(max Time) {
-	if max <= 0 {
-		max = 64 * e.windowBase
-	}
-	if max < e.windowBase {
-		max = e.windowBase
-	}
-	e.adaptive = true
-	e.windowMax = max
-}
-
-// Adaptive reports whether adaptive window sizing is enabled.
-func (e *Engine) Adaptive() bool { return e.adaptive }
 
 // NumProcs reports the number of simulated processors.
 func (e *Engine) NumProcs() int { return len(e.procs) }
@@ -420,63 +377,12 @@ func (e *Engine) Run(body func(p *Proc)) error {
 	for {
 		// Between windows every live processor is parked: finished,
 		// blocked in Block, or runnable and waiting for its next window.
-		if e.prof != nil {
-			e.prof.SerialBegin(SerialTurnover)
-		}
-		runnable, finished := 0, 0
-		var minNow Time = maxTime
-		loneShard, oneShard := -1, true
-		quiet := true
-		for _, p := range e.procs {
-			if p.finished {
-				finished++
-				continue
-			}
-			if p.global > 0 {
-				quiet = false
-			}
-			if p.blocked {
-				continue
-			}
-			runnable++
-			if p.now < minNow {
-				minNow = p.now
-			}
-			if loneShard < 0 {
-				loneShard = p.shard
-			} else if p.shard != loneShard {
-				oneShard = false
-			}
-		}
-		if finished == len(e.procs) {
-			if e.prof != nil {
-				e.prof.SerialEnd(SerialTurnover)
-			}
-			return nil
-		}
-		if runnable == 0 {
-			if e.prof != nil {
-				e.prof.SerialEnd(SerialTurnover)
-			}
-			return e.deadlock()
-		}
-		e.quiesce(minNow, quiet, true)
-		if oneShard {
-			// Run-ahead fast path: every runnable processor is in one
-			// shard, so windowing has nothing to order. Control passes
-			// directly between the shard's processors until a cross-shard
-			// wake re-populates another shard.
-			if e.prof != nil {
-				e.prof.SerialEnd(SerialTurnover)
-			}
-			e.enterRunAhead(loneShard)
+		switch e.openRound(true) {
+		case roundNone:
+			return e.endRun()
+		case roundRunAhead:
 			e.awaitChains(1)
 			continue
-		}
-
-		e.openWindow(minNow)
-		if e.prof != nil {
-			e.prof.SerialEnd(SerialTurnover)
 		}
 
 		// Phase 1: claim shard chains in index order, one per lane up to
@@ -587,29 +493,83 @@ func (e *Engine) driveLane(l int) chainEnd {
 	return end
 }
 
+// round is the kind of scheduling round openRound opened.
+type round int8
+
+const (
+	// roundNone: no processor is runnable, so nothing was opened; the run
+	// has finished or deadlocked.
+	roundNone round = iota
+	// roundRunAhead: every runnable processor is in one shard, and the
+	// engine entered the run-ahead fast path.
+	roundRunAhead
+	// roundWindow: a window was opened and its processors queued.
+	roundWindow
+)
+
+// openRound opens the next scheduling round. It scans for runnable
+// processors and their smallest clock, announces the round to the quiescent
+// hook, and then either enters the run-ahead fast path — every runnable
+// processor is in one shard, so windowing has nothing to order — or opens
+// the window around that clock. The coordinator (Run, between rounds) and
+// the last chain of a dying window (turnover) both open rounds here, so they
+// decide from the same inputs in the same order. It runs with no chain
+// executing; coordinator says which of the two callers it is (see quiesce).
+func (e *Engine) openRound(coordinator bool) round {
+	if e.prof != nil {
+		e.prof.SerialBegin(SerialTurnover)
+	}
+	runnable := 0
+	var minNow Time = maxTime
+	loneShard, oneShard := -1, true
+	quiet := true
+	for _, p := range e.procs {
+		if p.finished {
+			continue
+		}
+		if p.global > 0 {
+			quiet = false
+		}
+		if p.blocked {
+			continue
+		}
+		runnable++
+		if p.now < minNow {
+			minNow = p.now
+		}
+		if loneShard < 0 {
+			loneShard = p.shard
+		} else if p.shard != loneShard {
+			oneShard = false
+		}
+	}
+	if runnable == 0 {
+		if e.prof != nil {
+			e.prof.SerialEnd(SerialTurnover)
+		}
+		return roundNone
+	}
+	e.quiesce(minNow, quiet, coordinator)
+	if oneShard {
+		if e.prof != nil {
+			e.prof.SerialEnd(SerialTurnover)
+		}
+		e.enterRunAhead(loneShard)
+		return roundRunAhead
+	}
+	e.openWindow(minNow)
+	if e.prof != nil {
+		e.prof.SerialEnd(SerialTurnover)
+	}
+	return roundWindow
+}
+
 // openWindow opens the window [T, T+W) around the smallest runnable clock
 // minNow and queues every in-window processor: the commit heap for open
 // global sections (their cross-shard operation spans the window edge, or
 // they were woken mid-protocol — they must stay serialized), the shard
-// heaps for everyone else. With adaptive sizing enabled it first resizes W
-// from the schedule observed since the previous open. Runs with no chain
-// executing (the coordinator between rounds, or the last chain of the
-// previous window during turnover).
+// heaps for everyone else.
 func (e *Engine) openWindow(minNow Time) {
-	if e.adaptive {
-		chains := e.shardChains.Load()
-		if e.windows > 0 {
-			e.window = AdaptWindow(e.window, e.windowBase, e.windowMax, WindowObs{
-				Chains:     chains - e.markChains,
-				Commits:    e.commitSeq - e.markCommits,
-				CommitRuns: e.commitRuns - e.markRuns,
-				Shards:     int64(e.numShards),
-			})
-		}
-		e.markChains = chains
-		e.markCommits = e.commitSeq
-		e.markRuns = e.commitRuns
-	}
 	T := minNow - minNow%e.window
 	e.windowEnd = T + e.window
 	e.windows++
@@ -722,56 +682,14 @@ func (e *Engine) singleChain() bool {
 // (singleChain engines only): when the last chain of a window runs dry the
 // window is over, and the chain itself can start the next one — or enter
 // the run-ahead fast path — skipping two coordinator round-trips per
-// round. The decision inputs (the runnable set and its shards) and the
-// dispatch order are exactly the coordinator's, so the schedule is
-// unchanged. It leaves the lane without a successor, returning control to
-// the coordinator, when the run is over or deadlocked: finish and deadlock
+// round. The round is opened by the coordinator's own openRound and
+// dispatched in the coordinator's order, so the schedule is unchanged. It
+// leaves the lane without a successor, returning control to the
+// coordinator, when the run is over or deadlocked: finish and deadlock
 // reporting stay with the coordinator.
 func (e *Engine) turnover() {
-	if e.prof != nil {
-		e.prof.SerialBegin(SerialTurnover)
-	}
-	runnable := 0
-	var minNow Time = maxTime
-	loneShard, oneShard := -1, true
-	quiet := true
-	for _, q := range e.procs {
-		if q.finished {
-			continue
-		}
-		if q.global > 0 {
-			quiet = false
-		}
-		if q.blocked {
-			continue
-		}
-		runnable++
-		if q.now < minNow {
-			minNow = q.now
-		}
-		if loneShard < 0 {
-			loneShard = q.shard
-		} else if q.shard != loneShard {
-			oneShard = false
-		}
-	}
-	if runnable == 0 {
-		if e.prof != nil {
-			e.prof.SerialEnd(SerialTurnover)
-		}
+	if e.openRound(false) != roundWindow {
 		return
-	}
-	e.quiesce(minNow, quiet, false)
-	if oneShard {
-		if e.prof != nil {
-			e.prof.SerialEnd(SerialTurnover)
-		}
-		e.enterRunAhead(loneShard)
-		return
-	}
-	e.openWindow(minNow)
-	if e.prof != nil {
-		e.prof.SerialEnd(SerialTurnover)
 	}
 	// Turnover runs in-chain only on singleChain engines, where at most one
 	// chain ever executes: the next chain is always the serial lane's. If
@@ -836,14 +754,18 @@ func (e *Engine) awaitChains(n int) {
 	}
 }
 
-// deadlock collects the blocked processor set and releases every parked
-// processor so none leak.
-func (e *Engine) deadlock() error {
+// endRun reports how a run with no runnable processor ended: nil when every
+// processor finished, otherwise a *DeadlockError naming the processors
+// stuck in Block, after releasing every parked processor so none leak.
+func (e *Engine) endRun() error {
 	d := &DeadlockError{}
 	for _, p := range e.procs {
 		if p.blocked {
 			d.Blocked = append(d.Blocked, p.id)
 		}
+	}
+	if len(d.Blocked) == 0 {
+		return nil
 	}
 	sort.Ints(d.Blocked)
 	e.release()
@@ -925,7 +847,6 @@ func (e *Engine) Reset() {
 		}
 		p.Counters = Counters{}
 	}
-	e.window = e.windowBase
 	e.quiesSeq = 0
 	e.commitSeq = 0
 	e.windows = 0
@@ -934,7 +855,4 @@ func (e *Engine) Reset() {
 	e.widthSum = 0
 	e.raSpans = 0
 	e.raHandoffs = 0
-	e.markChains = 0
-	e.markCommits = 0
-	e.markRuns = 0
 }

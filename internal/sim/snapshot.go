@@ -91,20 +91,16 @@ func (p *Proc) Snap() ProcSnap {
 }
 
 // EngineSnap is the serializable scheduling state of the engine at a
-// quiescent point: window sizing, cursors, shape counters, and every
+// quiescent point: window width, cursors, shape counters, and every
 // processor. Together with the deterministic program it fully determines
 // the rest of the run.
 type EngineSnap struct {
-	Window     Time  `json:"window"`
+	Window Time `json:"window"`
+	// WindowBase equals Window. originckpt/v1 records both, so the field
+	// stays for existing checkpoints to decode strictly.
 	WindowBase Time  `json:"window_base"`
-	WindowMax  Time  `json:"window_max,omitempty"`
-	Adaptive   bool  `json:"adaptive,omitempty"`
 	NumShards  int   `json:"num_shards"`
 	QuiesSeq   int64 `json:"quies_seq"`
-
-	MarkChains  int64 `json:"mark_chains,omitempty"`
-	MarkCommits int64 `json:"mark_commits,omitempty"`
-	MarkRuns    int64 `json:"mark_runs,omitempty"`
 
 	CommitSeq        int64 `json:"commit_seq"`
 	Windows          int64 `json:"windows"`
@@ -122,14 +118,9 @@ type EngineSnap struct {
 func (e *Engine) Snap() EngineSnap {
 	s := EngineSnap{
 		Window:           e.window,
-		WindowBase:       e.windowBase,
-		WindowMax:        e.windowMax,
-		Adaptive:         e.adaptive,
+		WindowBase:       e.window,
 		NumShards:        e.numShards,
 		QuiesSeq:         e.quiesSeq,
-		MarkChains:       e.markChains,
-		MarkCommits:      e.markCommits,
-		MarkRuns:         e.markRuns,
 		CommitSeq:        e.commitSeq,
 		Windows:          e.windows,
 		ShardChains:      e.shardChains.Load(),

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -14,7 +16,9 @@ import (
 // payload, closed by an end marker. Corruption anywhere yields a
 // FormatError naming the section, never a panic, and unknown sections are
 // rejected rather than skipped so a v2 writer cannot be half-read by a v1
-// reader.
+// reader. Unknown fields inside a section are rejected the same way: state
+// this build cannot represent must fail the decode, not be dropped and
+// replayed without.
 //
 //	offset  size  field
 //	0       8     magic "ORGNCKP1"
@@ -97,11 +101,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		if err != nil {
 			return nil, &FormatError{sec.name, "encode: " + err.Error()}
 		}
-		writeU32(&buf, uint32(len(sec.name)))
-		buf.WriteString(sec.name)
-		writeU32(&buf, uint32(len(payload)))
-		writeU32(&buf, crc32.ChecksumIEEE(payload))
-		buf.Write(payload)
+		writeSection(&buf, sec.name, payload)
 	}
 	writeU32(&buf, 0) // end marker
 	return buf.Bytes(), nil
@@ -118,8 +118,8 @@ func (s *Snapshot) WriteFile(path string) error {
 
 // Decode parses an originckpt/v1 byte stream. Every malformation —
 // truncation, bad magic, CRC mismatch, duplicate or unknown section,
-// payload that fails to parse — returns a FormatError naming the section
-// it was found in.
+// payload that fails to parse or carries a field its section does not
+// declare — returns a FormatError naming the section it was found in.
 func Decode(data []byte) (*Snapshot, error) {
 	r := &reader{data: data}
 	var hdr [len(magic)]byte
@@ -195,7 +195,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		if got := crc32.ChecksumIEEE(payload); got != want {
 			return nil, &FormatError{name, fmt.Sprintf("checksum mismatch: stored %08x, computed %08x", want, got)}
 		}
-		if err := json.Unmarshal(payload, target); err != nil {
+		if err := decodeStrict(payload, target); err != nil {
 			return nil, &FormatError{name, "payload does not parse: " + err.Error()}
 		}
 	}
@@ -206,6 +206,20 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, &FormatError{secHeader, "missing"}
 	}
 	return s, nil
+}
+
+// decodeStrict parses one JSON payload into target, rejecting unknown
+// fields and anything after the value.
+func decodeStrict(payload []byte, target any) error {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(target); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the payload")
+	}
+	return nil
 }
 
 // ReadFile reads and decodes an originckpt/v1 file.
@@ -250,6 +264,16 @@ func (r *reader) u32(sec, what string) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
+}
+
+// writeSection appends one section record: name, payload length, CRC and
+// payload.
+func writeSection(buf *bytes.Buffer, name string, payload []byte) {
+	writeU32(buf, uint32(len(name)))
+	buf.WriteString(name)
+	writeU32(buf, uint32(len(payload)))
+	writeU32(buf, crc32.ChecksumIEEE(payload))
+	buf.Write(payload)
 }
 
 func writeU32(buf *bytes.Buffer, v uint32) {

@@ -335,9 +335,37 @@ func TestDecodeRejectsBadStreams(t *testing.T) {
 		dup = append(dup, rest...)
 		cases["duplicate section"] = dup
 	}
+	// A checkpoint of a run under the retired adaptive window policy: its
+	// engine section carries the policy's state, which this build cannot
+	// replay, so the decode must fail there instead of resuming under the
+	// fixed window.
+	const adaptiveEra = "engine section with adaptive-window state"
+	{
+		var b bytes.Buffer
+		b.WriteString(magic)
+		writeU32(&b, Version)
+		for _, sec := range goldenSnapshot().sections() {
+			payload, err := json.Marshal(sec.val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sec.name == secEngine {
+				payload = append([]byte(`{"adaptive":true,"window_max":64000000,"mark_chains":3,"mark_commits":2,"mark_runs":1,`), payload[1:]...)
+			}
+			writeSection(&b, sec.name, payload)
+		}
+		writeU32(&b, 0)
+		cases[adaptiveEra] = b.Bytes()
+	}
 	for name, data := range cases {
-		if _, err := Decode(data); err == nil {
+		_, err := Decode(data)
+		if err == nil {
 			t.Errorf("%s: Decode accepted it", name)
+			continue
+		}
+		var fe *FormatError
+		if name == adaptiveEra && (!errors.As(err, &fe) || fe.Section != secEngine) {
+			t.Errorf("%s: got %v, want a FormatError naming section %q", name, err, secEngine)
 		}
 	}
 }
