@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"origin2000/internal/core"
 	"origin2000/internal/mempolicy"
+	"origin2000/internal/scenario"
 	"origin2000/internal/sim"
 )
 
@@ -432,6 +435,35 @@ func TestTable1PresetOrdering(t *testing.T) {
 	if !(ratio(lo, ro) < ratio(lh, rh) && ratio(lh, rh) < ratio(ln, rn)) {
 		t.Errorf("ratios not ordered: origin=%.1f hal=%.1f numaline=%.1f",
 			ratio(lo, ro), ratio(lh, rh), ratio(ln, rn))
+	}
+}
+
+// TestTable1LatenciesResolvesPresets pins the preset names in one place:
+// Table1Latencies resolves exactly the scenario.LatencyPresets names, each
+// to a latency set of its own, and panics naming any other name, so a
+// preset the scenario accepts can never fall back to the Origin's
+// latencies unnoticed.
+func TestTable1LatenciesResolvesPresets(t *testing.T) {
+	seen := map[core.Latencies]string{}
+	for _, preset := range scenario.LatencyPresets {
+		l := core.Table1Latencies(preset)
+		if other, dup := seen[l]; dup {
+			t.Errorf("presets %q and %q resolve to the same latencies", other, preset)
+		}
+		seen[l] = preset
+	}
+	if seen[core.Origin2000Latencies()] != "origin2000" {
+		t.Errorf("the origin2000 preset is not the Origin's default latencies")
+	}
+	for _, bad := range []string{"", "origin", "Origin2000", "hal"} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			core.Table1Latencies(bad)
+			return
+		}()
+		if !strings.Contains(msg, fmt.Sprintf("%q", bad)) {
+			t.Errorf("Table1Latencies(%q) recovered %q, want a panic naming the preset", bad, msg)
+		}
 	}
 }
 

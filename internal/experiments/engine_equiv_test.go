@@ -11,6 +11,7 @@ import (
 	"origin2000/internal/core"
 	"origin2000/internal/mempolicy"
 	"origin2000/internal/metrics"
+	"origin2000/internal/sim"
 	"origin2000/internal/trace"
 )
 
@@ -116,6 +117,45 @@ func TestEngineEquivalenceAllApps(t *testing.T) {
 				}
 				if !reflect.DeepEqual(sm.Tracer().QueueReport(), pm.Tracer().QueueReport()) {
 					t.Errorf("workers=%d queue histograms differ between engines", workers)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineEquivalenceWideWindow extends the contract to the widest window
+// the quantum ablation runs, 4 µs, four times the default: processors run
+// further ahead of each other, so each window holds more events from more
+// shards for the merge to order. Every window must be exactly that wide,
+// and the run must still be bit-identical across engines and worker
+// counts. Covers a lock-heavy app (Barnes, whose critical regions span
+// window edges), a barrier-phased one (FFT), and a task-stealing one
+// (Raytrace).
+func TestEngineEquivalenceWideWindow(t *testing.T) {
+	const quantum = 4 * sim.Microsecond
+	for _, name := range []string{"Barnes", "FFT", "Raytrace"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			wide := func(cfg *core.Config) { cfg.Quantum = quantum }
+			checkWidth := func(engine string, workers int, m *core.Machine) sim.SchedShape {
+				s := m.SchedShape()
+				if s.Windows == 0 || s.WindowWidthSum != sim.Time(s.Windows)*quantum {
+					t.Errorf("%s workers=%d: %d windows of total width %v, want every window %v wide",
+						engine, workers, s.Windows, s.WindowWidthSum, quantum)
+				}
+				return s
+			}
+			serial, sm := engineRun(t, name, "serial", 0, wide)
+			shape := checkWidth("serial", 0, sm)
+			for _, workers := range []int{1, 2, 8} {
+				par, pm := engineRun(t, name, "parallel", workers, wide)
+				if !reflect.DeepEqual(serial, par) {
+					t.Errorf("workers=%d results differ between engines:\nserial   %+v\nparallel %+v",
+						workers, serial, par)
+				}
+				if s := checkWidth("parallel", workers, pm); s != shape {
+					t.Errorf("workers=%d schedule shape %+v, serial engine %+v", workers, s, shape)
 				}
 			}
 		})

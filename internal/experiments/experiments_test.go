@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"origin2000/internal/scenario"
 	"origin2000/internal/sim"
 )
 
@@ -19,6 +20,28 @@ func TestTable1RatiosOrdered(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "Origin2000") || !strings.Contains(out, "NUMALiiNE") {
 		t.Fatalf("missing machines:\n%s", out)
+	}
+}
+
+// TestTable1RowsAreLatencyPresets pins Table 1 to the scenario's preset
+// names: one row per scenario.LatencyPresets name, in the same order, each
+// with its own display label, so a preset cannot be added to one list and
+// missed in the other.
+func TestTable1RowsAreLatencyPresets(t *testing.T) {
+	if len(table1Rows) != len(scenario.LatencyPresets) {
+		t.Fatalf("Table 1 has %d rows, scenario.LatencyPresets names %d presets",
+			len(table1Rows), len(scenario.LatencyPresets))
+	}
+	labels := map[string]bool{}
+	for i, row := range table1Rows {
+		if row.preset != scenario.LatencyPresets[i] {
+			t.Errorf("row %d is preset %q, scenario.LatencyPresets[%d] is %q",
+				i, row.preset, i, scenario.LatencyPresets[i])
+		}
+		if row.label == "" || labels[row.label] {
+			t.Errorf("row %d (%s): label %q is empty or repeated", i, row.preset, row.label)
+		}
+		labels[row.label] = true
 	}
 }
 

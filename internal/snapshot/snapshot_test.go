@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"origin2000/internal/cache"
@@ -368,6 +370,55 @@ func TestDecodeRejectsBadStreams(t *testing.T) {
 			t.Errorf("%s: got %v, want a FormatError naming section %q", name, err, secEngine)
 		}
 	}
+}
+
+// TestDecodeRejectsUnknownFields pins strict decoding section by section: a
+// field the section does not declare must fail Decode with a FormatError
+// naming that section and the field, never be dropped. A checkpoint that
+// carries state this build has no place for (a retired engine policy's,
+// say) would otherwise resume without it.
+func TestDecodeRejectsUnknownFields(t *testing.T) {
+	const unknown = "zz_not_a_field"
+	for _, target := range goldenSnapshot().sections() {
+		t.Run(target.name, func(t *testing.T) {
+			var b bytes.Buffer
+			b.WriteString(magic)
+			writeU32(&b, Version)
+			for _, sec := range goldenSnapshot().sections() {
+				payload, err := json.Marshal(sec.val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sec.name == target.name {
+					payload = withField(t, payload, unknown)
+				}
+				writeSection(&b, sec.name, payload)
+			}
+			writeU32(&b, 0)
+			_, err := Decode(b.Bytes())
+			var fe *FormatError
+			if !errors.As(err, &fe) || fe.Section != target.name || !strings.Contains(fe.Msg, unknown) {
+				t.Fatalf("got %v, want a FormatError naming section %q and field %q", err, target.name, unknown)
+			}
+		})
+	}
+}
+
+// withField inserts key into the first JSON object of payload: the payload
+// itself, or for a list section its first element.
+func withField(t *testing.T, payload []byte, key string) []byte {
+	t.Helper()
+	i := bytes.IndexByte(payload, '{')
+	if i < 0 {
+		t.Fatalf("payload holds no JSON object: %s", payload)
+	}
+	field := fmt.Sprintf("%q:1", key)
+	if payload[i+1] != '}' {
+		field += ","
+	}
+	out := append([]byte(nil), payload[:i+1]...)
+	out = append(out, field...)
+	return append(out, payload[i+1:]...)
 }
 
 func TestValidateCatchesStructuralDamage(t *testing.T) {
