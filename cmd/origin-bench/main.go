@@ -665,8 +665,8 @@ func main() {
 
 	benchScale := experiments.Scale{Div: 16, CacheDiv: 16}
 	snap := Snapshot{
-		Schema:    "origin-bench/v1",
-		Seq:       seq,
+		Schema:     "origin-bench/v1",
+		Seq:        seq,
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		CPUs:       runtime.NumCPU(),

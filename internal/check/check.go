@@ -34,7 +34,7 @@ package check
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"origin2000/internal/cache"
@@ -170,12 +170,16 @@ func (v *Violation) Error() string {
 
 // lineMirror is one processor's expected cache line.
 type lineMirror struct {
+	proc  int16
 	state cache.State // Shared or Modified
 	ver   uint64      // golden version the copy holds
 }
 
 // blockMirror is the checker's expected state for one block.
 type blockMirror struct {
+	// seen marks a block some event has touched; the rest of its page is
+	// zero-valued padding the scans skip.
+	seen bool
 	// dirState/owner/sharers mirror the home directory entry.
 	dirState directory.State
 	owner    int16
@@ -183,11 +187,60 @@ type blockMirror struct {
 	// ver is the golden flat-memory image: the version of the latest
 	// committed write to the block.
 	ver uint64
-	// held[p] is processor p's expected cache line for this block.
-	held map[int]lineMirror
+	// held lists the processors' expected cache lines for this block,
+	// sorted by processor, so every scan reports in processor order.
+	held []lineMirror
 	// hist is the transaction-history ring (lazily allocated).
 	hist *ring
 }
+
+// find returns the index of proc's line in held, or the index where it
+// would be inserted and false.
+func (b *blockMirror) find(proc int) (int, bool) {
+	for i := range b.held {
+		if p := int(b.held[i].proc); p >= proc {
+			return i, p == proc
+		}
+	}
+	return len(b.held), false
+}
+
+// line returns proc's expected line, if it holds one.
+func (b *blockMirror) line(proc int) (lineMirror, bool) {
+	if i, ok := b.find(proc); ok {
+		return b.held[i], true
+	}
+	return lineMirror{}, false
+}
+
+// set records proc holding the block in state st at version ver.
+func (b *blockMirror) set(proc int, st cache.State, ver uint64) {
+	ln := lineMirror{proc: int16(proc), state: st, ver: ver}
+	i, ok := b.find(proc)
+	if !ok {
+		b.held = slices.Insert(b.held, i, ln)
+		return
+	}
+	b.held[i] = ln
+}
+
+// drop forgets proc's line, if it holds one.
+func (b *blockMirror) drop(proc int) {
+	if i, ok := b.find(proc); ok {
+		b.held = slices.Delete(b.held, i, i+1)
+	}
+}
+
+// Mirror storage follows the directory's page-dense layout (DESIGN.md §7):
+// blocks are grouped by their 16 KB page, each touched page owns a flat
+// array of mirrors, and a last-page memo serves the common run of events on
+// one page without a map hash.
+const (
+	pageBlockShift = 7
+	blocksPerPage  = 1 << pageBlockShift
+)
+
+type mirrorPage [blocksPerPage]blockMirror
 
 // DirView is the directory state the checker audits against. A single
 // *directory.Directory satisfies it directly; the machine's sharded build
@@ -211,7 +264,9 @@ type Checker struct {
 	caches []*cache.Cache
 	clocks []sim.Time
 
-	blocks map[uint64]*blockMirror
+	pages   map[uint64]*mirrorPage
+	lastKey uint64      // page index of last
+	last    *mirrorPage // memo of the most recently touched page
 
 	// MaxViolations bounds the violations retained (default 16); detection
 	// continues but further reports are dropped, keeping a broken run from
@@ -230,7 +285,7 @@ func New(nprocs int, dir DirView) *Checker {
 		dir:           dir,
 		caches:        make([]*cache.Cache, nprocs),
 		clocks:        make([]sim.Time, nprocs),
-		blocks:        make(map[uint64]*blockMirror),
+		pages:         make(map[uint64]*mirrorPage),
 		MaxViolations: 16,
 	}
 }
@@ -257,13 +312,50 @@ func (c *Checker) Err() error {
 	return fmt.Errorf("check: %d violations, first: %w", n, c.violations[0])
 }
 
+// mirror returns block's mirror, marking it seen.
 func (c *Checker) mirror(block uint64) *blockMirror {
-	b := c.blocks[block]
-	if b == nil {
-		b = &blockMirror{owner: -1, held: make(map[int]lineMirror)}
-		c.blocks[block] = b
+	key := block >> pageBlockShift
+	pg := c.last
+	if pg == nil || key != c.lastKey {
+		pg = c.pages[key]
+		if pg == nil {
+			pg = new(mirrorPage)
+			c.pages[key] = pg
+		}
+		c.lastKey, c.last = key, pg
+	}
+	b := &pg[block&(blocksPerPage-1)]
+	if !b.seen {
+		b.seen, b.owner = true, -1
 	}
 	return b
+}
+
+// peek returns block's mirror, or nil if no event has touched the block.
+func (c *Checker) peek(block uint64) *blockMirror {
+	if pg := c.pages[block>>pageBlockShift]; pg != nil {
+		if b := &pg[block&(blocksPerPage-1)]; b.seen {
+			return b
+		}
+	}
+	return nil
+}
+
+// forEach visits every seen block in ascending block order.
+func (c *Checker) forEach(fn func(block uint64, b *blockMirror)) {
+	keys := make([]uint64, 0, len(c.pages))
+	for key := range c.pages {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		pg := c.pages[key]
+		for i := range pg {
+			if pg[i].seen {
+				fn(key<<pageBlockShift|uint64(i), &pg[i])
+			}
+		}
+	}
 }
 
 func (c *Checker) record(b *blockMirror, kind EventKind, proc int, at sim.Time) {
@@ -309,7 +401,7 @@ func (c *Checker) OnHit(proc int, block uint64, write bool, at sim.Time) {
 	if write {
 		kind = EvWriteHit
 	}
-	ln, held := b.held[proc]
+	ln, held := b.line(proc)
 	switch {
 	case !held:
 		c.violate(block, b, proc, at, "%s but mirror says p%d holds no copy", kind, proc)
@@ -326,7 +418,7 @@ func (c *Checker) OnHit(proc int, block uint64, write bool, at sim.Time) {
 		// stale and will be caught on its next use.
 		b.ver++
 		if held {
-			b.held[proc] = lineMirror{state: cache.Modified, ver: b.ver}
+			b.set(proc, cache.Modified, b.ver)
 		}
 		c.checkSWMR(block, b, proc, at)
 	}
@@ -341,10 +433,10 @@ func (c *Checker) OnFill(proc int, block uint64, write bool, at sim.Time) {
 	b := c.mirror(block)
 	if write {
 		b.ver++
-		b.held[proc] = lineMirror{state: cache.Modified, ver: b.ver}
+		b.set(proc, cache.Modified, b.ver)
 		c.record(b, EvFillModified, proc, at)
 	} else {
-		b.held[proc] = lineMirror{state: cache.Shared, ver: b.ver}
+		b.set(proc, cache.Shared, b.ver)
 		c.record(b, EvFillShared, proc, at)
 	}
 	c.checkSWMR(block, b, proc, at)
@@ -355,14 +447,14 @@ func (c *Checker) OnFill(proc int, block uint64, write bool, at sim.Time) {
 func (c *Checker) OnUpgrade(proc int, block uint64, at sim.Time) {
 	c.tick(proc, at)
 	b := c.mirror(block)
-	if ln, held := b.held[proc]; !held {
+	if ln, held := b.line(proc); !held {
 		c.violate(block, b, proc, at, "upgrade but mirror says p%d holds no copy", proc)
 	} else if ln.ver != b.ver {
 		c.violate(block, b, proc, at,
 			"upgrade of stale copy: p%d holds version %d, golden image is %d", proc, ln.ver, b.ver)
 	}
 	b.ver++
-	b.held[proc] = lineMirror{state: cache.Modified, ver: b.ver}
+	b.set(proc, cache.Modified, b.ver)
 	c.record(b, EvUpgrade, proc, at)
 	c.checkSWMR(block, b, proc, at)
 }
@@ -371,7 +463,7 @@ func (c *Checker) OnUpgrade(proc int, block uint64, at sim.Time) {
 // fan-out or ownership transfer).
 func (c *Checker) OnInvalidate(proc int, block uint64, at sim.Time) {
 	b := c.mirror(block)
-	delete(b.held, proc)
+	b.drop(proc)
 	c.record(b, EvInvalidate, proc, at)
 }
 
@@ -379,11 +471,11 @@ func (c *Checker) OnInvalidate(proc int, block uint64, at sim.Time) {
 // for a remote read intervention.
 func (c *Checker) OnDowngrade(proc int, block uint64, at sim.Time) {
 	b := c.mirror(block)
-	if ln, held := b.held[proc]; held {
+	if ln, held := b.line(proc); held {
 		if ln.state != cache.Modified {
 			c.violate(block, b, proc, at, "downgrade of non-Modified mirror line (%s)", ln.state)
 		}
-		b.held[proc] = lineMirror{state: cache.Shared, ver: ln.ver}
+		b.set(proc, cache.Shared, ln.ver)
 	} else {
 		c.violate(block, b, proc, at, "downgrade but mirror says p%d holds no copy", proc)
 	}
@@ -393,10 +485,10 @@ func (c *Checker) OnDowngrade(proc int, block uint64, at sim.Time) {
 // OnEvict records proc silently dropping a clean copy (replacement hint).
 func (c *Checker) OnEvict(proc int, block uint64, at sim.Time) {
 	b := c.mirror(block)
-	if ln, held := b.held[proc]; held && ln.state == cache.Modified {
+	if ln, held := b.line(proc); held && ln.state == cache.Modified {
 		c.violate(block, b, proc, at, "clean eviction of a mirror-Modified line")
 	}
-	delete(b.held, proc)
+	b.drop(proc)
 	// Mirror the directory's Evict transition.
 	if b.dirState == directory.SharedState {
 		b.sharers.Remove(proc)
@@ -410,10 +502,10 @@ func (c *Checker) OnEvict(proc int, block uint64, at sim.Time) {
 // OnWriteback records proc writing a dirty victim back to memory.
 func (c *Checker) OnWriteback(proc int, block uint64, at sim.Time) {
 	b := c.mirror(block)
-	if ln, held := b.held[proc]; !held || ln.state != cache.Modified {
+	if ln, held := b.line(proc); !held || ln.state != cache.Modified {
 		c.violate(block, b, proc, at, "writeback of a line the mirror does not hold Modified")
 	}
-	delete(b.held, proc)
+	b.drop(proc)
 	// Mirror Directory.Writeback: only the current owner returns the block
 	// to Unowned.
 	if b.dirState == directory.Exclusive && int(b.owner) == proc {
@@ -528,10 +620,10 @@ func (c *Checker) OnTxnEnd(proc int, block uint64, at sim.Time) {
 func (c *Checker) checkSWMR(block uint64, b *blockMirror, proc int, at sim.Time) {
 	writers, readers := 0, 0
 	writer := -1
-	for p, ln := range b.held {
+	for _, ln := range b.held {
 		if ln.state == cache.Modified {
 			writers++
-			writer = p
+			writer = int(ln.proc)
 		} else {
 			readers++
 		}
@@ -568,7 +660,10 @@ func (c *Checker) checkBlock(block uint64, b *blockMirror, proc int, at sim.Time
 	}
 
 	// Directory↔cache agreement for this block, both directions.
-	for p, ln := range b.held {
+	var held directory.Sharers
+	for _, ln := range b.held {
+		p := int(ln.proc)
+		held.Add(p)
 		if ca := c.caches[p]; ca != nil {
 			if st := ca.Peek(block); st != ln.state {
 				c.violate(block, b, proc, at, "p%d cache holds %s, mirror %s", p, st, ln.state)
@@ -594,13 +689,13 @@ func (c *Checker) checkBlock(block uint64, b *blockMirror, proc int, at sim.Time
 	}
 	if b.dirState == directory.SharedState {
 		b.sharers.ForEach(func(p int) {
-			if _, held := b.held[p]; !held {
+			if !held.Contains(p) {
 				c.violate(block, b, proc, at, "sharer bit for p%d without a live cache line", p)
 			}
 		})
 	}
 	if b.dirState == directory.Exclusive {
-		if _, held := b.held[int(b.owner)]; !held {
+		if _, ok := b.find(int(b.owner)); !ok {
 			c.violate(block, b, proc, at, "Exclusive owner p%d without a live Modified line", b.owner)
 		}
 	}
@@ -616,17 +711,9 @@ func (c *Checker) Audit() int {
 		b := c.mirror(0)
 		c.violate(0, b, -1, 0, "directory self-check: %v", err)
 	}
-	blocks := make([]uint64, 0, len(c.blocks))
-	for blk := range c.blocks {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, blk := range blocks {
-		c.checkBlock(blk, c.blocks[blk], -1, 0)
-	}
+	c.forEach(func(blk uint64, b *blockMirror) { c.checkBlock(blk, b, -1, 0) })
 	c.dir.ForEach(func(blk uint64, e directory.Entry) {
-		b := c.blocks[blk]
-		if b == nil {
+		if c.peek(blk) == nil {
 			c.violate(blk, &blockMirror{}, -1, 0,
 				"directory has active state (%s) for a block with no recorded transactions", e.State)
 		}

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -144,7 +146,7 @@ func TestStaleReadHitIsCaught(t *testing.T) {
 	h := newHarness(2)
 	b := h.ck.mirror(5)
 	b.ver = 3
-	b.held[1] = lineMirror{state: cache.Shared, ver: 2}
+	b.set(1, cache.Shared, 2)
 	h.ck.OnHit(1, 5, false, 40)
 	err := h.ck.Err()
 	if err == nil {
@@ -234,5 +236,88 @@ func TestHistoryRingKeepsLastEvents(t *testing.T) {
 	}
 	if snap[0].At != 5 || snap[ringSize-1].At != sim.Time(ringSize+4) {
 		t.Fatalf("ring window wrong: first %v last %v", snap[0].At, snap[ringSize-1].At)
+	}
+}
+
+// TestViolationsAscendByProcessor pins the report order: when one
+// transaction breaks an invariant on several holders, the violations name
+// them in ascending processor order on every run, so Err() and the
+// MaxViolations cut are deterministic.
+func TestViolationsAscendByProcessor(t *testing.T) {
+	const block = 3
+	for rep := 0; rep < 100; rep++ {
+		h := newHarness(8)
+		// p1..p7 fill copies the directory never granted, so the block
+		// stays Unowned while seven caches hold it.
+		for _, p := range []int{5, 2, 7, 1, 4, 3, 6} {
+			h.cas[p].Fill(block, cache.Shared)
+			h.ck.OnFill(p, block, false, sim.Time(p))
+		}
+		h.ck.OnTxnEnd(0, block, 10)
+		vs := h.ck.Violations()
+		if len(vs) != 7 {
+			t.Fatalf("repeat %d: %d violations, want 7: %v", rep, len(vs), h.ck.Err())
+		}
+		for i, v := range vs {
+			if want := fmt.Sprintf("p%d holds a copy of an Unowned block", i+1); v.Msg != want {
+				t.Fatalf("repeat %d: violation %d is %q, want %q", rep, i, v.Msg, want)
+			}
+		}
+		if err := h.ck.Err(); !strings.Contains(err.Error(), "first: check: block 0x3: p1 holds") {
+			t.Fatalf("repeat %d: Err does not name p1 first: %v", rep, err)
+		}
+	}
+}
+
+// BenchmarkCheckerEvents drives a faithful 32-processor read/write mix
+// through the checker: read hits, read misses after invalidations, write
+// misses and upgrades with their fan-out, over 32 blocks on two pages.
+func BenchmarkCheckerEvents(b *testing.B) {
+	const procs = 32
+	h := newHarness(procs)
+	// Blocks i and blocksPerPage+i share cache set i of the 2-way harness
+	// caches, so the working set never evicts.
+	var blocks []uint64
+	for i := uint64(0); i < 16; i++ {
+		blocks = append(blocks, i, blocksPerPage+i)
+	}
+	type op struct {
+		p     int
+		block uint64
+		write bool
+	}
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]op, 4096)
+	for i := range ops {
+		ops[i] = op{rng.Intn(procs), blocks[rng.Intn(len(blocks))], rng.Intn(8) == 0}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var at sim.Time
+	for i := 0; i < b.N; i++ {
+		o := ops[i%len(ops)]
+		at += 10 * sim.Nanosecond
+		if o.write {
+			h.write(o.p, o.block, at)
+		} else {
+			h.read(o.p, o.block, at)
+		}
+	}
+	b.StopTimer()
+	if err := h.ck.Err(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(h.ck.Events())/float64(b.N), "events/op")
+}
+
+// TestRestoreRejectsOutOfRangeHolder checks a snapshot naming a holder
+// outside the machine fails Restore instead of corrupting the mirror.
+func TestRestoreRejectsOutOfRangeHolder(t *testing.T) {
+	for _, p := range []int{-1, 2, 1 << 16} {
+		s := New(2, directory.New()).Snap()
+		s.Blocks = []BlockSnap{{Block: 4, Owner: -1, Held: []LineSnap{{Proc: p, State: cache.Shared}}}}
+		if err := New(2, directory.New()).Restore(s); err == nil || !strings.Contains(err.Error(), "processor") {
+			t.Errorf("holder p%d: Restore err = %v", p, err)
+		}
 	}
 }

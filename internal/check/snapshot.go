@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"origin2000/internal/cache"
 	"origin2000/internal/directory"
@@ -53,14 +52,8 @@ func (c *Checker) Snap() Snap {
 		Dropped:       c.dropped,
 		Events:        c.events,
 	}
-	keys := make([]uint64, 0, len(c.blocks))
-	for blk := range c.blocks {
-		keys = append(keys, blk)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	s.Blocks = make([]BlockSnap, 0, len(keys))
-	for _, blk := range keys {
-		b := c.blocks[blk]
+	s.Blocks = []BlockSnap{} // a checker that saw no block snaps "blocks":[]
+	c.forEach(func(blk uint64, b *blockMirror) {
 		bs := BlockSnap{
 			Block:    blk,
 			DirState: b.dirState,
@@ -69,18 +62,17 @@ func (c *Checker) Snap() Snap {
 			Ver:      b.ver,
 		}
 		if len(b.held) > 0 {
-			bs.Held = make([]LineSnap, 0, len(b.held))
-			for p, ln := range b.held {
-				bs.Held = append(bs.Held, LineSnap{Proc: p, State: ln.state, Ver: ln.ver})
+			bs.Held = make([]LineSnap, len(b.held))
+			for i, ln := range b.held {
+				bs.Held[i] = LineSnap{Proc: int(ln.proc), State: ln.state, Ver: ln.ver}
 			}
-			sort.Slice(bs.Held, func(i, j int) bool { return bs.Held[i].Proc < bs.Held[j].Proc })
 		}
 		if b.hist != nil {
 			bs.HistN = b.hist.n
 			bs.Hist = b.hist.snapshot()
 		}
 		s.Blocks = append(s.Blocks, bs)
-	}
+	})
 	return s
 }
 
@@ -96,17 +88,22 @@ func (c *Checker) Restore(s Snap) error {
 	c.violations = s.Violations
 	c.dropped = s.Dropped
 	c.events = s.Events
-	c.blocks = make(map[uint64]*blockMirror, len(s.Blocks))
+	c.pages, c.last = make(map[uint64]*mirrorPage), nil
 	for _, bs := range s.Blocks {
-		b := &blockMirror{
+		b := c.mirror(bs.Block)
+		*b = blockMirror{
+			seen:     true,
 			dirState: bs.DirState,
 			owner:    bs.Owner,
 			sharers:  bs.Sharers,
 			ver:      bs.Ver,
-			held:     make(map[int]lineMirror, len(bs.Held)),
 		}
 		for _, ln := range bs.Held {
-			b.held[ln.Proc] = lineMirror{state: ln.State, ver: ln.Ver}
+			if ln.Proc < 0 || ln.Proc >= len(c.clocks) {
+				return fmt.Errorf("check: block %#x snapshot holds a line for processor %d of %d",
+					bs.Block, ln.Proc, len(c.clocks))
+			}
+			b.set(ln.Proc, ln.State, ln.Ver)
 		}
 		if bs.HistN > 0 {
 			if len(bs.Hist) > ringSize {
@@ -122,7 +119,6 @@ func (c *Checker) Restore(s Snap) error {
 			}
 			b.hist = r
 		}
-		c.blocks[bs.Block] = b
 	}
 	return nil
 }

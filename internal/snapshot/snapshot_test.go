@@ -162,6 +162,68 @@ func goldenSnapshot() *Snapshot {
 	return s
 }
 
+// TestCheckerSnapRoundTrip pins the checker's snapshot bytes: restoring a
+// checker section into a fresh checker and snapping it again gives back the
+// same section, value for value and byte for byte.
+func TestCheckerSnapRoundTrip(t *testing.T) {
+	fixture, err := ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden fixture: %v", err)
+	}
+	var sharers directory.Sharers
+	sharers.Add(0)
+	sharers.Add(1)
+	lagging := check.Snap{
+		Blocks: []check.BlockSnap{
+			{Block: 3, Owner: -1},
+			{
+				Block: 200, DirState: directory.SharedState, Owner: -1, Sharers: sharers, Ver: 9,
+				// p0's copy lags the golden image: a stale line the
+				// checker has not yet been asked about.
+				Held:  []check.LineSnap{{Proc: 0, State: cache.Shared, Ver: 7}, {Proc: 1, State: cache.Shared, Ver: 9}},
+				HistN: 20,
+				Hist:  make([]check.Event, 16),
+			},
+		},
+		Clocks:        []sim.Time{5 * sim.Microsecond, 6 * sim.Microsecond},
+		MaxViolations: 16,
+		Events:        21,
+	}
+	for _, tc := range []struct {
+		name string
+		want check.Snap
+	}{
+		{"golden fixture", *fixture.Checker},
+		{"lagging held version", lagging},
+		{"no blocks", check.New(2, directory.New()).Snap()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := check.New(2, directory.New())
+			if err := ck.Restore(tc.want); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			got := ck.Snap()
+			if !reflect.DeepEqual(tc.want, got) {
+				t.Fatalf("Snap after Restore differs:\nwant %+v\ngot  %+v", tc.want, got)
+			}
+			want, err := json.Marshal(tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, enc) {
+				t.Fatalf("Snap after Restore encodes differently:\nwant %s\ngot  %s", want, enc)
+			}
+			if len(got.Blocks) == 0 && !bytes.Contains(enc, []byte(`"blocks":[]`)) {
+				t.Fatalf("a checker with no blocks must snap as \"blocks\":[]: %s", enc)
+			}
+		})
+	}
+}
+
 // TestStructuralRoundTrip is the structural tier's core property: every
 // section encodes, decodes, and compares equal.
 func TestStructuralRoundTrip(t *testing.T) {

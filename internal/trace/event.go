@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"fmt"
+	"strconv"
 
 	"origin2000/internal/sim"
 )
@@ -87,7 +87,7 @@ func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // Event is one traced machine event. It is a fixed-size value with no

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,41 +25,117 @@ import (
 // the decoder as a format guard).
 const perfettoTool = "origin2000-trace/1"
 
-// pfTS renders a virtual time as the microsecond fixed-point string the
-// trace-event format expects, at full picosecond precision.
-func pfTS(t sim.Time) string {
-	return fmt.Sprintf("%d.%06d", t/sim.Microsecond, t%sim.Microsecond)
+// appendTS appends a virtual time as the microsecond fixed-point string the
+// trace-event format expects, at full picosecond precision. It writes
+// exactly what fmt's "%d.%06d" of the quotient and remainder writes, so
+// existing traces keep their bytes; for a negative time the sign counts
+// toward the fraction's width (-5ps is "0.-00005").
+func appendTS(b []byte, t sim.Time) []byte {
+	b = strconv.AppendInt(b, int64(t/sim.Microsecond), 10)
+	b = append(b, '.')
+	frac, width := int64(t%sim.Microsecond), 6
+	if frac < 0 {
+		b = append(b, '-')
+		frac, width = -frac, 5
+	}
+	for lim := int64(10); width > 1; lim, width = lim*10, width-1 {
+		if frac < lim {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, frac, 10)
 }
+
+// quotedKindNames are the kinds' display names as JSON strings.
+var quotedKindNames = func() (q [numKinds]string) {
+	for k := range q {
+		q[k] = strconv.Quote(kindNames[k])
+	}
+	return q
+}()
+
+// perfettoFlush is the buffered size at which ExportPerfetto writes out;
+// its buffer holds twice that, so the line that crosses it never regrows it.
+const perfettoFlush = 64 << 10
 
 // ExportPerfetto writes per-processor event streams as Chrome trace-event
 // JSON. It is a pure function of procs, so decode→re-encode round-trips to
-// identical bytes.
+// identical bytes. Each line is appended to one reused buffer, which is
+// written out whenever it passes perfettoFlush bytes.
 func ExportPerfetto(w io.Writer, procs [][]Event) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"tool\":%q,\"procs\":\"%d\"},\"traceEvents\":[\n",
-		perfettoTool, len(procs))
-	fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"origin2000\"}}")
+	b := make([]byte, 0, 2*perfettoFlush)
+	b = append(b, `{"displayTimeUnit":"ns","otherData":{"tool":`...)
+	b = strconv.AppendQuote(b, perfettoTool)
+	b = append(b, `,"procs":"`...)
+	b = strconv.AppendInt(b, int64(len(procs)), 10)
+	b = append(b, "\"},\"traceEvents\":[\n"...)
+	b = append(b, `{"ph":"M","pid":0,"name":"process_name","args":{"name":"origin2000"}}`...)
 	for p := range procs {
-		fmt.Fprintf(bw, ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"cpu%d\"}}", p, p)
+		b = append(b, ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":"...)
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, `,"name":"thread_name","args":{"name":"cpu`...)
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, `"}}`...)
 	}
 	for p, evs := range procs {
 		for _, ev := range evs {
-			fmt.Fprintf(bw,
-				",\n{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%q,\"cat\":\"machine\","+
-					"\"args\":{\"k\":%d,\"t\":%d,\"d\":%d,\"a\":%d,\"g\":%d,\"n\":%d}}",
-				p, pfTS(ev.Time), pfTS(ev.Dur), ev.Kind.String(),
-				ev.Kind, int64(ev.Time), int64(ev.Dur), ev.Addr, ev.Arg, ev.Node)
-			// Queue events also feed a per-resource counter track so
-			// contention hot spots are visible without opening slices.
-			switch ev.Kind {
-			case EvHubQueue, EvMemQueue, EvRouterQueue, EvMetaQueue:
-				fmt.Fprintf(bw, ",\n{\"ph\":\"C\",\"pid\":0,\"ts\":%s,\"name\":\"%s%d delay (ns)\",\"args\":{\"ns\":%d}}",
-					pfTS(ev.Time), counterPrefix(ev.Kind), ev.Node, int64(ev.Dur)/int64(sim.Nanosecond))
+			b = appendPerfettoEvent(b, p, ev)
+			if len(b) >= perfettoFlush {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
 			}
 		}
 	}
-	fmt.Fprintf(bw, "\n]}\n")
-	return bw.Flush()
+	b = append(b, "\n]}\n"...)
+	_, err := w.Write(b)
+	return err
+}
+
+// appendPerfettoEvent appends processor p's event ev as one complete-event
+// line carrying its exact payload in "args", plus a counter sample when ev
+// is a queueing event.
+func appendPerfettoEvent(b []byte, p int, ev Event) []byte {
+	b = append(b, ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":"...)
+	b = strconv.AppendInt(b, int64(p), 10)
+	b = append(b, `,"ts":`...)
+	b = appendTS(b, ev.Time)
+	b = append(b, `,"dur":`...)
+	b = appendTS(b, ev.Dur)
+	b = append(b, `,"name":`...)
+	if ev.Kind < numKinds {
+		b = append(b, quotedKindNames[ev.Kind]...)
+	} else {
+		b = strconv.AppendQuote(b, ev.Kind.String())
+	}
+	b = append(b, `,"cat":"machine","args":{"k":`...)
+	b = strconv.AppendUint(b, uint64(ev.Kind), 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendInt(b, int64(ev.Time), 10)
+	b = append(b, `,"d":`...)
+	b = strconv.AppendInt(b, int64(ev.Dur), 10)
+	b = append(b, `,"a":`...)
+	b = strconv.AppendUint(b, ev.Addr, 10)
+	b = append(b, `,"g":`...)
+	b = strconv.AppendInt(b, int64(ev.Arg), 10)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, int64(ev.Node), 10)
+	b = append(b, "}}"...)
+	// Queue events also feed a per-resource counter track so contention
+	// hot spots are visible without opening slices.
+	switch ev.Kind {
+	case EvHubQueue, EvMemQueue, EvRouterQueue, EvMetaQueue:
+		b = append(b, ",\n{\"ph\":\"C\",\"pid\":0,\"ts\":"...)
+		b = appendTS(b, ev.Time)
+		b = append(b, `,"name":"`...)
+		b = append(b, counterPrefix(ev.Kind)...)
+		b = strconv.AppendInt(b, int64(ev.Node), 10)
+		b = append(b, ` delay (ns)","args":{"ns":`...)
+		b = strconv.AppendInt(b, int64(ev.Dur)/int64(sim.Nanosecond), 10)
+		b = append(b, "}}"...)
+	}
+	return b
 }
 
 func counterPrefix(k Kind) string {
