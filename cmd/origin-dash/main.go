@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"os"
 
+	"origin2000/cmd/internal/runflags"
 	"origin2000/internal/scenario"
 )
 
@@ -37,6 +38,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := runflags.AtLeast("scale", *scale, 1); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	spec, err := scenario.Load(*scenF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -22,12 +22,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"origin2000/cmd/internal/runflags"
 	"origin2000/internal/core"
 	"origin2000/internal/experiments"
 	"origin2000/internal/mempolicy"
@@ -56,6 +58,15 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := errors.Join(
+		runflags.AtLeast("procs", *procs, 1),
+		runflags.AtLeast("scale", *scale, 1),
+		runflags.AtLeast("size", *size, 0),
+		runflags.AtLeast("steps", *steps, 0),
+	); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	base := runBase{
 		appName: *appName, procs: *procs, size: *size, scale: *scale,
 		steps: *steps, seed: *seed, interval: sim.Time(*interval) * sim.Microsecond,

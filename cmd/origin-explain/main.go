@@ -10,7 +10,8 @@
 // Usage:
 //
 //	origin-explain -app Ocean [-procs 32] [-size 0] [-variant ""] [-scale 8]
-//	               [-steps N] [-seed 42] [-prefetch] [-top 10] [-json FILE]
+//	               [-steps N] [-seed 42] [-prefetch] [-scenario mesh]
+//	               [-top 10] [-json FILE]
 //	origin-explain -all [-procs 32] ...
 package main
 
@@ -21,65 +22,44 @@ import (
 	"io"
 	"os"
 
+	"origin2000/cmd/internal/runflags"
 	"origin2000/internal/core"
 	"origin2000/internal/experiments"
 	"origin2000/internal/perf"
-	"origin2000/internal/scenario"
 	"origin2000/internal/sharing"
 	"origin2000/internal/workload"
 )
 
 func main() {
+	rf := runflags.Register(flag.CommandLine, "Ocean", 32)
 	var (
-		appName  = flag.String("app", "Ocean", "application name (origin-run -list)")
-		all      = flag.Bool("all", false, "explain every application in the study")
-		procs    = flag.Int("procs", 32, "processor count")
-		size     = flag.Int("size", 0, "problem size in app units (0 = basic size)")
-		variant  = flag.String("variant", "", "algorithm variant")
-		scale    = flag.Int("scale", 8, "divide problem sizes and cache by this factor")
-		steps    = flag.Int("steps", 0, "timesteps/frames (0 = app default)")
-		seed     = flag.Int64("seed", 42, "input seed")
-		prefetch = flag.Bool("prefetch", false, "enable remote-data prefetching")
-		top      = flag.Int("top", 10, "rows per report table")
-		jsonOut  = flag.String("json", "", "also write the reports as JSON (app name -> report)")
-		scenF    = flag.String("scenario", "", "machine scenario: a preset name or a spec .json file; empty = the default Origin machine")
+		all     = flag.Bool("all", false, "explain every application in the study")
+		top     = flag.Int("top", 10, "rows per report table")
+		jsonOut = flag.String("json", "", "also write the reports as JSON (app name -> report)")
 	)
 	flag.Parse()
 
-	var apps []workload.App
-	if *all {
-		apps = experiments.Apps()
-	} else {
-		app := experiments.AppByName(*appName)
-		if app == nil {
-			fmt.Fprintf(os.Stderr, "origin-explain: unknown app %q; see origin-run -list\n", *appName)
-			os.Exit(2)
-		}
-		apps = []workload.App{app}
-	}
-
-	spec, err := scenario.Load(*scenF)
+	run, err := rf.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "origin-explain:", err)
 		os.Exit(2)
 	}
-	if err := spec.Validate(*procs); err != nil {
-		fmt.Fprintln(os.Stderr, "origin-explain:", err)
-		os.Exit(2)
+	apps := []workload.App{run.App}
+	if *all {
+		apps = experiments.Apps()
 	}
-	if !spec.IsDefault() {
+	if spec := run.Scale.Scenario; !spec.IsDefault() {
 		fmt.Printf("scenario %s [%s]: %s\n\n", spec.Name, spec.Hash(), spec.Describe())
 	}
-	s := experiments.Scale{Div: *scale, CacheDiv: *scale, Steps: *steps, Seed: *seed, Scenario: &spec}
 	reports := make(map[string]*sharing.Report, len(apps))
 	for _, app := range apps {
-		r, elapsed, err := explainOne(s, app, *procs, *size, *variant, *prefetch)
+		r, elapsed, err := explainOne(run.With(app))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "origin-explain: %s: %v\n", app.Name(), err)
 			os.Exit(1)
 		}
 		reports[app.Name()] = r
-		printReport(os.Stdout, app.Name(), *procs, *scale, elapsed, r, *top)
+		printReport(os.Stdout, app.Name(), run.Procs, run.Scale.Div, elapsed, r, *top)
 	}
 
 	if *jsonOut != "" {
@@ -99,20 +79,13 @@ func main() {
 	}
 }
 
-// explainOne runs app once with the sharing classifier on and returns its
+// explainOne executes run with the sharing classifier on and returns its
 // report (top tables unbounded; printing applies the display cut).
-func explainOne(s experiments.Scale, app workload.App, procs, size int, variant string, prefetch bool) (*sharing.Report, float64, error) {
-	paperSize := size
-	if paperSize == 0 {
-		paperSize = app.BasicSize()
-	}
-	params := s.Params(app, paperSize, variant)
-	params.Prefetch = prefetch
-
-	cfg := s.Machine(procs)
+func explainOne(run runflags.Run) (*sharing.Report, float64, error) {
+	cfg := run.Scale.Machine(run.Procs)
 	cfg.Sharing.Enabled = true
 	m := core.New(cfg)
-	if err := app.Run(m, params); err != nil {
+	if err := run.App.Run(m, run.Params); err != nil {
 		return nil, 0, err
 	}
 	return m.SharingReport(0), m.Elapsed().Milliseconds(), nil

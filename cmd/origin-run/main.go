@@ -4,12 +4,17 @@
 // Usage:
 //
 //	origin-run -app FFT [-procs 64] [-size 1048576] [-variant ""] [-prefetch]
-//	           [-scale 8] [-breakdown] [-ppn 2] [-mapping linear|random|gray|split]
+//	           [-scale 8] [-steps N] [-seed 42] [-scenario mesh] [-breakdown]
+//	           [-ppn 2] [-mapping linear|random|gray|split] [-trace run.json]
 //	           [-engine serial|parallel] [-workers 0] [-hostprof hostprof.json]
 //	           [-checkpoint-every 1ms] [-checkpoint-dir checkpoints]
 //	origin-run -resume checkpoints/ckpt-000002.originckpt [-engine parallel]
 //	origin-run -bisect checkpoints [-fault-drop-inval N]
 //
+// -trace records every event of the run, writes it as Perfetto JSON (open
+// it at ui.perfetto.dev) and prints the attribution tables: per-page and
+// per-block sharing heat, synchronization waits, latency by class,
+// queueing by resource, and the top-10 pages' share of remote misses.
 // -checkpoint-every captures an originckpt/v1 snapshot of the whole machine
 // at each quiescent window boundary on the given virtual-time grid.
 // -resume replays the run deterministically to the snapshot's quiescent
@@ -30,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"origin2000/cmd/internal/runflags"
 	"origin2000/internal/core"
 	"origin2000/internal/experiments"
 	"origin2000/internal/perf"
@@ -41,28 +47,20 @@ import (
 )
 
 func main() {
+	rf := runflags.Register(flag.CommandLine, "FFT", 64)
 	var (
-		appName   = flag.String("app", "FFT", "application name (see -list)")
 		list      = flag.Bool("list", false, "list applications and variants")
-		procs     = flag.Int("procs", 64, "processor count")
-		size      = flag.Int("size", 0, "problem size in app units (0 = basic size)")
-		variant   = flag.String("variant", "", "algorithm variant")
-		prefetch  = flag.Bool("prefetch", false, "enable remote-data prefetching")
-		scale     = flag.Int("scale", 8, "divide problem sizes and cache by this factor")
-		steps     = flag.Int("steps", 0, "timesteps/frames (0 = app default)")
-		seed      = flag.Int64("seed", 42, "input seed")
 		breakdown = flag.Bool("breakdown", false, "print the per-processor breakdown figure")
 		arrays    = flag.Bool("arrays", false, "attribute misses to named allocations (the tooling the paper wished the Origin had)")
 		phases    = flag.Bool("phases", false, "print the per-phase time breakdown (instrumented apps)")
 		ppn       = flag.Int("ppn", 2, "processors per node (Section 7.2)")
 		mapping   = flag.String("mapping", "linear", "process mapping: linear, random, gray, split")
-		traceOut  = flag.String("trace", "", "trace the run and write Perfetto JSON here (see origin-trace for more control)")
+		traceOut  = flag.String("trace", "", "trace every event of the run, write Perfetto JSON here and print the attribution tables")
 		hostprofF = flag.String("hostprof", "", "profile the engine's host time and write a Perfetto timeline here (parallel engine; schedule-neutral)")
 		engine    = flag.String("engine", "serial", "execution engine: serial, or parallel (bit-identical, faster wall clock)")
 		workers   = flag.Int("workers", 0, "host workers for -engine=parallel (0 = GOMAXPROCS)")
 		ckptEvery = flag.String("checkpoint-every", "", "capture an originckpt snapshot every virtual duration (e.g. 1ms, 100us)")
 		ckptDir   = flag.String("checkpoint-dir", "checkpoints", "directory for -checkpoint-every snapshot files")
-		scenarioF = flag.String("scenario", "", "machine scenario: a preset name (origin, mesh, fattree, limited, ...) or a spec .json file; empty = the default Origin machine")
 		resumeF   = flag.String("resume", "", "resume from an originckpt file: replay to its quiescent point, prove state equality, continue")
 		bisectF   = flag.String("bisect", "", "bisect a directory of checkpoints to the first window that breaks coherence")
 		faultDrop = flag.Int("fault-drop-inval", 0, "fault injection: silently drop the Nth invalidation the directory sends (demo for -bisect)")
@@ -90,53 +88,38 @@ func main() {
 		return
 	}
 	if *resumeF != "" {
-		runResume(*resumeF, *scenarioF, *engine, *workers, every, *ckptDir)
+		runResume(*resumeF, rf.Scenario, *engine, *workers, every, *ckptDir)
 		return
 	}
-	spec, err := scenario.Load(*scenarioF)
+	run, err := rf.Resolve()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	app := experiments.AppByName(*appName)
-	if app == nil {
-		fmt.Fprintf(os.Stderr, "unknown app %q; use -list\n", *appName)
+		fmt.Fprintln(os.Stderr, "origin-run:", err)
 		os.Exit(2)
 	}
 	if *engine != "serial" && *engine != "parallel" {
 		fmt.Fprintf(os.Stderr, "unknown engine %q (serial or parallel)\n", *engine)
 		os.Exit(2)
 	}
-	s := experiments.Scale{Div: *scale, CacheDiv: *scale, Steps: *steps, Seed: *seed,
-		Engine: *engine, Workers: *workers, Scenario: &spec}
-	if err := spec.Validate(*procs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	se := experiments.NewSession(s)
-	paperSize := *size
-	if paperSize == 0 {
-		paperSize = app.BasicSize()
-	}
-	params := se.Scale.Params(app, paperSize, *variant)
-	params.Prefetch = *prefetch
+	app, procs, params := run.App, run.Procs, run.Params
+	run.Scale.Engine, run.Scale.Workers = *engine, *workers
+	se := experiments.NewSession(run.Scale)
 
-	cfg := se.Scale.Machine(*procs)
+	cfg := se.Scale.Machine(procs)
 	cfg.ProcsPerNode = *ppn
 	switch strings.ToLower(*mapping) {
 	case "linear", "":
 	case "random":
-		cfg.Mapping = topology.Random(*procs, *seed)
+		cfg.Mapping = topology.Random(procs, rf.Seed)
 	case "gray":
-		cfg.Mapping = topology.GrayPairs(*procs, cfg.ProcsPerNode, core.NodesPerRouter)
+		cfg.Mapping = topology.GrayPairs(procs, cfg.ProcsPerNode, core.NodesPerRouter)
 	case "split":
-		cfg.Mapping = topology.SplitPairs(*procs)
+		cfg.Mapping = topology.SplitPairs(procs)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mapping %q\n", *mapping)
 		os.Exit(2)
 	}
 
-	seq, err := se.Sequential(app, paperSize)
+	seq, err := se.Sequential(app, run.PaperSize)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sequential run:", err)
 		os.Exit(1)
@@ -175,15 +158,15 @@ func main() {
 	avg := r.Average()
 	busy, mem, sync := avg.Fractions()
 	fmt.Printf("%s size=%d variant=%q procs=%d (scale 1/%d)\n",
-		app.Name(), params.Size, params.Variant, *procs, se.Scale.Div)
-	if !spec.IsDefault() {
+		app.Name(), params.Size, params.Variant, procs, se.Scale.Div)
+	if spec := se.Scale.Scenario; !spec.IsDefault() {
 		fmt.Printf("scenario:   %s [%s]  (%s)\n", spec.Name, spec.Hash(), spec.Describe())
 	}
 	fmt.Printf("sequential: %10.3f ms\n", seq.Milliseconds())
 	fmt.Printf("parallel:   %10.3f ms   speedup %.1f   efficiency %.1f%%\n",
 		m.Elapsed().Milliseconds(),
 		perf.Speedup(seq, m.Elapsed()),
-		100*perf.Efficiency(seq, m.Elapsed(), *procs))
+		100*perf.Efficiency(seq, m.Elapsed(), procs))
 	fmt.Printf("breakdown:  busy %.1f%%  memory %.1f%%  sync %.1f%%\n", 100*busy, 100*mem, 100*sync)
 	c := r.Counters
 	fmt.Printf("misses:     local %d  remote-clean %d  remote-dirty %d  (hits %d)\n",
@@ -214,10 +197,12 @@ func main() {
 		}
 		fmt.Printf("trace:      %d events -> %s (open at ui.perfetto.dev)\n",
 			tr.EventsRecorded(), *traceOut)
-		fmt.Println()
-		fmt.Println(perf.Table(tr.PageReport(10)))
-		fmt.Println(perf.Table(tr.SyncReport(10)))
-		fmt.Println(perf.Table(tr.LatencyReport()))
+		fmt.Printf("            top-10 pages hold %.1f%% of remote misses\n", 100*tr.RemoteMissShare(10))
+		section("Per-page sharing heat (worst first)", tr.PageReport(10))
+		section("Per-block sharing heat (worst first)", tr.BlockReport(10))
+		section("Synchronization wait ranking", tr.SyncReport(10))
+		section("Access latency by class", tr.LatencyReport())
+		section("Queueing delay by resource", tr.QueueReport())
 	}
 	if *hostprofF != "" {
 		hp := m.HostProf()
@@ -271,6 +256,14 @@ func main() {
 			fmt.Println(perf.Table(rows))
 		}
 	}
+}
+
+// section prints a titled attribution table, skipping one with no rows.
+func section(title string, rows [][]string) {
+	if len(rows) <= 1 {
+		return
+	}
+	fmt.Printf("\n%s\n%s", title, perf.Table(rows))
 }
 
 // summarize prints the post-run breakdown shared by the resume path.

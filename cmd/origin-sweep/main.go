@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"origin2000/cmd/internal/runflags"
 	"origin2000/internal/experiments"
 	"origin2000/internal/perf"
 	"origin2000/internal/scenario"
@@ -51,10 +52,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown app %q\n", *appName)
 		os.Exit(2)
 	}
+	if err := runflags.AtLeast("scale", *scale, 1); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var procs []int
 	for _, tok := range strings.Split(*procsList, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil {
+		if err != nil || v < 1 {
 			fmt.Fprintf(os.Stderr, "bad -procs entry %q\n", tok)
 			os.Exit(2)
 		}

@@ -91,13 +91,6 @@ type Scale struct {
 	Scenario *scenario.Spec
 }
 
-// FullScale runs the paper's actual input sizes.
-var FullScale = Scale{Div: 1, CacheDiv: 1}
-
-// BenchScale is the default for the benchmark harness: sizes and cache
-// divided by 8.
-var BenchScale = Scale{Div: 8, CacheDiv: 8}
-
 // TestScale is small enough for unit tests.
 var TestScale = Scale{Div: 64, CacheDiv: 64, Procs: []int{4, 8}}
 

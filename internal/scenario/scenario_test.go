@@ -169,15 +169,28 @@ func TestLoad(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsUnknownFields: a typo in a spec file must fail loudly
-// rather than silently building the default machine.
+// TestLoadRejectsUnknownFields: a typo in a spec file, or anything after
+// the spec, must fail loudly rather than silently building a machine from
+// part of the file.
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "typo.json")
-	if err := os.WriteFile(path, []byte(`{"topolgy": {"kind": "mesh2d"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("unknown field accepted")
+	for name, body := range map[string]string{
+		"typo.json":    `{"topolgy": {"kind": "mesh2d"}}`,
+		"second.json":  `{"name":"m1","topology":{"kind":"mesh2d"}} {"topology":{"kind":"bogus"}}`,
+		"garbage.json": `{"name":"m1","topology":{"kind":"mesh2d"}} garbage!!`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(path)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("error %q does not name the file", err)
+			}
+		})
 	}
 }
