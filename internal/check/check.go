@@ -106,15 +106,48 @@ func (e Event) String() string {
 // ringSize is the number of history events kept per block.
 const ringSize = 16
 
+// histEntry is one history Event packed into 16 bytes: the time, and one
+// word holding the version above the kind and the processor plus one.
+// Processors number below directory.MaxProcs (128), so proc+1 fits its
+// byte, and every kind fits the kind byte. A 16-entry ring then fits the
+// allocator's 288-byte size class, where 24-byte Events took 416.
+type histEntry struct {
+	at   sim.Time
+	word uint64 // ver<<histVerShift | kind<<8 | uint8(proc+1)
+}
+
+const (
+	histVerShift = 16
+	// maxHistVer is the largest version a history entry holds. A block
+	// reaches it only after 2^48 writes.
+	maxHistVer = 1<<(64-histVerShift) - 1
+)
+
+// packEvent packs e. A version beyond maxHistVer is a checker bug.
+func packEvent(e Event) histEntry {
+	if e.Ver > maxHistVer {
+		panic(fmt.Sprintf("check: history version %d exceeds %d", e.Ver, uint64(maxHistVer)))
+	}
+	return histEntry{at: e.At, word: e.Ver<<histVerShift | uint64(e.Kind)<<8 | uint64(uint8(e.Proc+1))}
+}
+
+// event unpacks the entry.
+func (h histEntry) event() Event {
+	return Event{
+		Kind: EventKind(h.word >> 8),
+		Proc: int16(uint8(h.word)) - 1,
+		At:   h.at,
+		Ver:  h.word >> histVerShift,
+	}
+}
+
 type ring struct {
-	ev  [ringSize]Event
-	n   int // total events recorded
-	idx int // next write position
+	ev [ringSize]histEntry
+	n  int // total events recorded; the next write goes to n % ringSize
 }
 
 func (r *ring) record(e Event) {
-	r.ev[r.idx] = e
-	r.idx = (r.idx + 1) % ringSize
+	r.ev[r.n%ringSize] = packEvent(e)
 	r.n++
 }
 
@@ -123,13 +156,10 @@ func (r *ring) snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	k := r.n
-	if k > ringSize {
-		k = ringSize
-	}
+	k := min(r.n, ringSize)
 	out := make([]Event, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, r.ev[(r.idx-k+i+ringSize)%ringSize])
+	for i := r.n - k; i < r.n; i++ {
+		out = append(out, r.ev[i%ringSize].event())
 	}
 	return out
 }

@@ -3,8 +3,10 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"origin2000/internal/cache"
 	"origin2000/internal/directory"
@@ -236,6 +238,75 @@ func TestHistoryRingKeepsLastEvents(t *testing.T) {
 	}
 	if snap[0].At != 5 || snap[ringSize-1].At != sim.Time(ringSize+4) {
 		t.Fatalf("ring window wrong: first %v last %v", snap[0].At, snap[ringSize-1].At)
+	}
+}
+
+// TestHistoryPackRoundTrip checks a history entry packs every kind, the
+// processor range's ends and the largest version into 16 bytes and back,
+// that a 16-entry ring fits the allocator's 288-byte size class, and that
+// recording a version beyond the packed field panics.
+func TestHistoryPackRoundTrip(t *testing.T) {
+	if n := unsafe.Sizeof(histEntry{}); n != 16 {
+		t.Errorf("history entry is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(ring{}); n > 288 {
+		t.Errorf("history ring is %d bytes, want at most 288", n)
+	}
+	for k := EvReadHit; k <= EvTxnEnd; k++ {
+		for _, proc := range []int16{-1, 0, directory.MaxProcs - 1} {
+			for _, ver := range []uint64{0, 1, maxHistVer} {
+				e := Event{Kind: k, Proc: proc, At: sim.Time(-7 - int64(ver)), Ver: ver}
+				if got := packEvent(e).event(); got != e {
+					t.Errorf("round trip of %+v gave %+v", e, got)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("recording a version beyond the packed field did not panic")
+		}
+	}()
+	(&ring{}).record(Event{Ver: maxHistVer + 1})
+}
+
+// TestRestoreRejectsBadHistory checks Restore refuses a block history that
+// live recording could not have left, naming the block, instead of
+// inventing or dropping events.
+func TestRestoreRejectsBadHistory(t *testing.T) {
+	ev := Event{Kind: EvReadHit, Proc: 1, At: 10, Ver: 3}
+	cases := []struct {
+		name  string
+		histN int
+		hist  []Event
+	}{
+		{"negative count", -1, []Event{ev}},
+		{"fewer events than recorded", 20, []Event{ev}},
+		{"more events than recorded", 1, []Event{ev, ev}},
+		{"processor below -1", 1, []Event{{Kind: EvEvict, Proc: -2}}},
+		{"processor beyond the machine", 1, []Event{{Kind: EvEvict, Proc: 2}}},
+		{"version beyond the packed field", 1, []Event{{Kind: EvWriteHit, Ver: maxHistVer + 1}}},
+	}
+	for _, c := range cases {
+		s := New(2, directory.New()).Snap()
+		s.Blocks = []BlockSnap{{Block: 0x2a, Owner: -1, HistN: c.histN, Hist: c.hist}}
+		if err := New(2, directory.New()).Restore(s); err == nil || !strings.Contains(err.Error(), "block 0x2a") {
+			t.Errorf("%s: Restore err = %v, want one naming block 0x2a", c.name, err)
+		}
+	}
+	// The edges of each rule restore and re-snap unchanged.
+	hist := make([]Event, ringSize)
+	for i := range hist {
+		hist[i] = Event{Kind: EventKind(i % 12), Proc: int16(i%3) - 1, At: sim.Time(i), Ver: maxHistVer - uint64(i)}
+	}
+	s := New(2, directory.New()).Snap()
+	s.Blocks = []BlockSnap{{Block: 0x2a, Owner: -1, HistN: 35, Hist: hist}}
+	c := New(2, directory.New())
+	if err := c.Restore(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Snap().Blocks[0]; got.HistN != 35 || !slices.Equal(got.Hist, hist) {
+		t.Errorf("re-snap has %d events %v, want 35 %v", got.HistN, got.Hist, hist)
 	}
 }
 

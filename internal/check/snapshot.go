@@ -105,20 +105,39 @@ func (c *Checker) Restore(s Snap) error {
 			}
 			b.set(ln.Proc, ln.State, ln.Ver)
 		}
-		if bs.HistN > 0 {
-			if len(bs.Hist) > ringSize {
-				return fmt.Errorf("check: block %#x snapshot history has %d events (ring holds %d)",
-					bs.Block, len(bs.Hist), ringSize)
-			}
-			r := &ring{n: bs.HistN, idx: bs.HistN % ringSize}
-			// Rebuild the ring array exactly as live recording left it: the
-			// k retained events end at the write cursor.
-			k := len(bs.Hist)
-			for i, e := range bs.Hist {
-				r.ev[(r.idx-k+i+ringSize)%ringSize] = e
-			}
-			b.hist = r
+		if err := c.restoreHist(b, bs); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// restoreHist rebuilds the block's history ring exactly as live recording
+// left it: the ring keeps the last min(HistN, ringSize) of HistN events,
+// and they end at the write cursor HistN mod ringSize.
+func (c *Checker) restoreHist(b *blockMirror, bs BlockSnap) error {
+	if bs.HistN < 0 {
+		return fmt.Errorf("check: block %#x snapshot history counts %d events", bs.Block, bs.HistN)
+	}
+	if k := min(bs.HistN, ringSize); len(bs.Hist) != k {
+		return fmt.Errorf("check: block %#x snapshot history has %d events, want %d of %d recorded",
+			bs.Block, len(bs.Hist), k, bs.HistN)
+	}
+	if bs.HistN == 0 {
+		return nil
+	}
+	r := &ring{n: bs.HistN}
+	for i, e := range bs.Hist {
+		if e.Proc < -1 || int(e.Proc) >= len(c.clocks) {
+			return fmt.Errorf("check: block %#x snapshot history names processor %d of %d",
+				bs.Block, e.Proc, len(c.clocks))
+		}
+		if e.Ver > maxHistVer {
+			return fmt.Errorf("check: block %#x snapshot history version %d exceeds %d",
+				bs.Block, e.Ver, uint64(maxHistVer))
+		}
+		r.ev[(r.n-len(bs.Hist)+i)%ringSize] = packEvent(e)
+	}
+	b.hist = r
 	return nil
 }

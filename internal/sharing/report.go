@@ -146,6 +146,47 @@ func adviceFor(b BlockReport) string {
 	return "readers share a block with an independent writer: move the written word to its own block (pad to 128 B)"
 }
 
+// ranking keeps the rows of one report table: key descending, then block
+// ascending, cut at the first n rows (n <= 0 keeps every row). Block
+// numbers are unique, so the order is total. Candidates must arrive in
+// ascending block order: a newcomer then ranks below every held row with
+// an equal key, so a bounded table never needs more than n rows.
+type ranking struct {
+	n    int
+	key  func(*BlockReport) int64
+	rows []BlockReport
+}
+
+// admits reports whether a candidate with key k makes the table.
+func (r *ranking) admits(k int64) bool {
+	return r.n <= 0 || len(r.rows) < r.n || k > r.key(&r.rows[r.n-1])
+}
+
+// add files a candidate that admits accepted.
+func (r *ranking) add(row BlockReport) {
+	if r.n <= 0 {
+		r.rows = append(r.rows, row) // sorted once, by sorted
+		return
+	}
+	k := r.key(&row)
+	i := sort.Search(len(r.rows), func(i int) bool { return r.key(&r.rows[i]) < k })
+	if len(r.rows) < r.n {
+		r.rows = append(r.rows, BlockReport{})
+	}
+	copy(r.rows[i+1:], r.rows[i:])
+	r.rows[i] = row
+}
+
+// sorted returns the table in rank order.
+func (r *ranking) sorted() []BlockReport {
+	if r.n <= 0 {
+		// Arrival order is block order, so a stable sort by key alone
+		// breaks ties by block.
+		sort.SliceStable(r.rows, func(i, j int) bool { return r.key(&r.rows[i]) > r.key(&r.rows[j]) })
+	}
+	return r.rows
+}
+
 // Report aggregates the observer's state into the diagnosis, bounding
 // the per-block and per-page tables at top entries each (top <= 0 means
 // unbounded). The result is a pure function of the deterministic
@@ -162,7 +203,10 @@ func (o *Observer) Report(top int) *Report {
 	for p := Pattern(0); p < NumPatterns; p++ {
 		pat[p].Pattern = p.String()
 	}
-	var all []BlockReport
+	// Top blocks by demand misses; false-sharing suspects (blocks whose
+	// coherence traffic is mostly false) by false-miss volume.
+	tops := ranking{n: top, key: func(b *BlockReport) int64 { return b.Misses }}
+	suspects := ranking{n: top, key: func(b *BlockReport) int64 { return b.FalseSharing }}
 	o.forEachBlock(func(blk uint64, b *blockState) {
 		r.Blocks++
 		for c := memclass.Class(0); c < memclass.NumClasses; c++ {
@@ -175,49 +219,27 @@ func (o *Observer) Report(top int) *Report {
 		r.Split.FalseSharing += int64(b.falseShare)
 		r.Split.Pending += b.pendingCount()
 
-		p := o.patternOf(blk, b)
+		p, misses, coh := o.patternOf(blk, b), b.demandMisses(), b.coherence()
 		pat[p].Blocks++
-		pat[p].Misses += b.demandMisses()
+		pat[p].Misses += misses
 		pat[p].Remote += b.remoteMisses()
-		pat[p].Coherence += b.coherence()
+		pat[p].Coherence += coh
 		pat[p].Upgrades += int64(b.misses[memclass.Upgrade])
 
-		all = append(all, o.blockReport(blk, b))
+		if tops.admits(misses) {
+			tops.add(o.blockReport(blk, b))
+		}
+		falseShare := int64(b.falseShare) + b.pendingCount()
+		if coh >= 4 && falseShare*2 >= coh && suspects.admits(falseShare) {
+			suspects.add(o.blockReport(blk, b))
+		}
 	})
 	r.Patterns = pat
-
-	// Top blocks by demand misses (ties by block number: deterministic).
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Misses != all[j].Misses {
-			return all[i].Misses > all[j].Misses
-		}
-		return all[i].Block < all[j].Block
-	})
-	n := len(all)
-	if top > 0 && n > top {
-		n = top
+	r.TopBlocks = tops.sorted()
+	r.Suspects = suspects.sorted()
+	for i := range r.Suspects {
+		r.Suspects[i].Advice = adviceFor(r.Suspects[i])
 	}
-	r.TopBlocks = append([]BlockReport(nil), all[:n]...)
-
-	// False-sharing suspects: blocks whose coherence traffic is mostly
-	// false, ranked by false-miss volume.
-	var suspects []BlockReport
-	for _, b := range all {
-		if b.Coherence >= 4 && b.FalseSharing*2 >= b.Coherence {
-			b.Advice = adviceFor(b)
-			suspects = append(suspects, b)
-		}
-	}
-	sort.Slice(suspects, func(i, j int) bool {
-		if suspects[i].FalseSharing != suspects[j].FalseSharing {
-			return suspects[i].FalseSharing > suspects[j].FalseSharing
-		}
-		return suspects[i].Block < suspects[j].Block
-	})
-	if top > 0 && len(suspects) > top {
-		suspects = suspects[:top]
-	}
-	r.Suspects = suspects
 
 	// Hotspot index: max/mean of remote misses served per home node.
 	var total, max int64

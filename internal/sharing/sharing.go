@@ -14,13 +14,14 @@
 // Capture and classification are split so the per-event cost stays off
 // the simulation's critical path: the hooks append fixed-width packed
 // records to a flat event log (a streaming store, no per-block state
-// touched), and the exact classification state machine folds the log at
-// the first snapshot or report boundary. The fold replays events in
-// recorded order, so verdicts are identical to classifying at event
-// time. Recording order must match the coherence-event order, so
-// enabling the observer pins the parallel engine to one worker; the
-// schedule is identical at any requested worker count, so its output is
-// bit-identical across runs, engines and worker counts.
+// touched), and the exact classification state machine folds the log
+// whenever it fills and at every snapshot or report boundary. The fold
+// replays events in recorded order, so verdicts are identical to
+// classifying at event time. Recording order must match the
+// coherence-event order, so enabling the observer pins the parallel
+// engine to one worker; the schedule is identical at any requested
+// worker count, so its output is bit-identical across runs, engines and
+// worker counts.
 package sharing
 
 import (
@@ -237,7 +238,7 @@ type Observer struct {
 	// log is the capture buffer: packed event records appended by the
 	// hooks and folded through the apply methods by flush. It is drained
 	// at snapshot/report boundaries and whenever it reaches
-	// flushThreshold, bounding capture memory on long runs.
+	// flushThreshold.
 	log []uint64
 }
 
@@ -272,11 +273,11 @@ func New(nprocs, nnodes int) *Observer {
 		watch:      make([]uint32, stride), // row 0 sentinel
 		nodeRemote: make([]int64, nnodes),
 		memo:       make([]blockMemo, nprocs),
-		// Pre-size the capture buffer to half its flush threshold:
-		// repeated append-doubling of a multi-megabyte log was the
-		// hooks' dominant cost, and fresh large spans are cheap (the
-		// runtime maps them zeroed on demand).
-		log: make([]uint64, 0, flushThreshold/2),
+		// The capture buffer is allocated once at its full size: the
+		// hooks fold it as soon as it reaches flushThreshold, and the
+		// longest record (a demand miss) is two words, so an append
+		// never has to grow it.
+		log: make([]uint64, 0, flushThreshold+1),
 	}
 }
 
@@ -445,10 +446,21 @@ const (
 	exClassShift  = 45
 	exFanoutShift = 48
 
-	// flushThreshold caps the capture buffer at 32MB; a fold mid-run is
-	// triggered by log length alone, so it is deterministic.
-	flushThreshold = 1 << 22
+	// flushThreshold caps the capture buffer at 512KB, so the log stays
+	// in the host's cache between append and fold. A fold mid-run is
+	// triggered by log length alone, so it is deterministic, and it
+	// cannot change a verdict: the fold applies records in recorded
+	// order wherever the log is cut.
+	flushThreshold = 1 << 16
 )
+
+// flushIfFull folds the log once it reaches flushThreshold. Every hook that
+// appends calls it, so the log never outgrows the capacity New gives it.
+func (o *Observer) flushIfFull() {
+	if len(o.log) >= flushThreshold {
+		o.flush()
+	}
+}
 
 // OnHit records a load or store that hit in proc's cache. This is the
 // hottest hook — one call per cache hit — so it only appends a packed
@@ -464,9 +476,7 @@ func (o *Observer) OnHit(proc int, block uint64, word int, write bool) {
 		rec |= evWriteBit
 	}
 	o.log = append(o.log, rec) // evHit is the zero type
-	if len(o.log) >= flushThreshold {
-		o.flush()
-	}
+	o.flushIfFull()
 }
 
 // OnMiss records a demand miss and its fill attributes.
@@ -482,9 +492,7 @@ func (o *Observer) OnMiss(proc int, block uint64, word int, write bool, class me
 	}
 	ex := page | uint64(home+1)<<exHomeShift | uint64(class)<<exClassShift | uint64(fanout)<<exFanoutShift
 	o.log = append(o.log, rec, ex)
-	if len(o.log) >= flushThreshold {
-		o.flush()
-	}
+	o.flushIfFull()
 }
 
 // OnUpgrade records a write hit on a Shared line that obtained ownership
@@ -497,6 +505,7 @@ func (o *Observer) OnUpgrade(proc int, block uint64, word, fanout int) {
 	}
 	o.log = append(o.log, block|uint64(proc)<<evProcShift|uint64(word)<<evWordShift|
 		evUpgrade<<evTypeShift|uint64(fanout)<<evExtraShift)
+	o.flushIfFull()
 }
 
 // OnPrefetchFill records a software-prefetch fill: the processor gains a
@@ -508,6 +517,7 @@ func (o *Observer) OnPrefetchFill(proc int, block uint64) {
 		return
 	}
 	o.log = append(o.log, block|uint64(proc)<<evProcShift|evPrefetch<<evTypeShift)
+	o.flushIfFull()
 }
 
 // OnInvalidate records proc's copy dying to another processor's write.
@@ -518,6 +528,7 @@ func (o *Observer) OnInvalidate(proc int, block uint64) {
 		return
 	}
 	o.log = append(o.log, block|uint64(proc)<<evProcShift|evInval<<evTypeShift)
+	o.flushIfFull()
 }
 
 // flush folds every captured event, in recorded order, through the

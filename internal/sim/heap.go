@@ -13,14 +13,11 @@ func (h procHeap) less(i, j int) bool {
 
 func (h procHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
 }
 
 func (h *procHeap) push(p *Proc) {
 	*h = append(*h, p)
-	p.heapIndex = len(*h) - 1
-	h.up(p.heapIndex)
+	h.up(len(*h) - 1)
 }
 
 func (h *procHeap) pop() *Proc {
@@ -32,7 +29,6 @@ func (h *procHeap) pop() *Proc {
 	if n > 1 {
 		h.down(0)
 	}
-	p.heapIndex = -1
 	return p
 }
 
@@ -41,12 +37,10 @@ func (h *procHeap) pop() *Proc {
 // O(n) rebuild (see Proc.WakeBatch).
 func (h *procHeap) grow(p *Proc) {
 	*h = append(*h, p)
-	p.heapIndex = len(*h) - 1
 }
 
 // reinit restores heap order after a batch of grow appends: a bottom-up
-// heapify. down maintains heapIndex through swap, and grow set the indexes
-// of the appended tail, so every index is consistent afterwards.
+// heapify.
 func (h *procHeap) reinit() {
 	for i := len(*h)/2 - 1; i >= 0; i-- {
 		h.down(i)

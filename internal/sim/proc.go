@@ -65,19 +65,18 @@ func (c *Counters) Misses() int64 { return c.LocalMisses + c.RemoteClean + c.Rem
 // must only be called from its own body, which the engine runs as a
 // coroutine.
 type Proc struct {
-	id        int
-	e         *Engine
-	now       Time
-	limit     Time // park when now exceeds this (window edge - 1)
-	blocked   bool
-	finished  bool
-	heapIndex int  // index in its shard heap or the commit heap; -1 when in neither
-	shard     int  // static shard assignment (SetShards)
-	lane      int  // host lane whose driver resumes this processor
-	mode      int8 // modePhase1 or modeCommit
-	global    int  // open AwaitGlobal sections; >0 pins the proc to the commit chain
-	seq       int64
-	stats     [numStats]Time
+	id       int
+	e        *Engine
+	now      Time
+	limit    Time // park when now exceeds this (window edge - 1)
+	blocked  bool
+	finished bool
+	shard    int  // static shard assignment (SetShards)
+	lane     int  // host lane that resumes this processor
+	mode     int8 // modePhase1 or modeCommit
+	global   int  // open AwaitGlobal sections; >0 pins the proc to the commit chain
+	seq      int64
+	stats    [numStats]Time
 
 	// The coroutine running the body in the current Run (spawn): coNext
 	// runs it until it parks or finishes, coStop unwinds it, and coYield
@@ -207,9 +206,6 @@ func (p *Proc) chainStep() {
 		// them — and fall back to windowed scheduling.
 		h := &e.shardHeaps[e.raShard]
 		if e.raExit {
-			for _, q := range *h {
-				q.heapIndex = -1
-			}
 			*h = (*h)[:0]
 			e.runAhead = false
 			if e.prof != nil {

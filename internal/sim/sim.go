@@ -276,7 +276,7 @@ func NewEngine(n int, quantum Time) *Engine {
 	}
 	e.procs = make([]*Proc, n)
 	for i := range e.procs {
-		e.procs[i] = &Proc{id: i, e: e, heapIndex: -1}
+		e.procs[i] = &Proc{id: i, e: e}
 	}
 	e.setShardCount(1)
 	return e
@@ -370,7 +370,6 @@ func (e *Engine) Run(body func(p *Proc)) error {
 		p.blocked = false
 		p.mode = modePhase1
 		p.global = 0
-		p.heapIndex = -1
 		p.spawn(body)
 	}
 	defer e.startLanes()()
@@ -787,9 +786,6 @@ func (e *Engine) release() {
 	for s := range e.shardHeaps {
 		e.shardHeaps[s] = e.shardHeaps[s][:0]
 		e.staged[s] = e.staged[s][:0]
-	}
-	for _, p := range e.procs {
-		p.heapIndex = -1
 	}
 }
 

@@ -43,7 +43,7 @@ func TestProcHeapTieBreaks(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var h procHeap
 			for _, e := range c.push {
-				h.push(&Proc{id: e.id, now: e.now, heapIndex: -1})
+				h.push(&Proc{id: e.id, now: e.now})
 			}
 			var got []int
 			for len(h) > 0 {

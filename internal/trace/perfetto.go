@@ -54,43 +54,73 @@ var quotedKindNames = func() (q [numKinds]string) {
 	return q
 }()
 
-// perfettoFlush is the buffered size at which ExportPerfetto writes out;
-// its buffer holds twice that, so the line that crosses it never regrows it.
+// perfettoFlush is the buffered size at which the encoder writes out; its
+// buffer holds twice that, so the line that crosses it never regrows it.
 const perfettoFlush = 64 << 10
 
-// ExportPerfetto writes per-processor event streams as Chrome trace-event
-// JSON. It is a pure function of procs, so decode→re-encode round-trips to
-// identical bytes. Each line is appended to one reused buffer, which is
-// written out whenever it passes perfettoFlush bytes.
-func ExportPerfetto(w io.Writer, procs [][]Event) error {
+// perfettoWriter is the streaming Chrome trace-event encoder behind both
+// export entry points. Each line is appended to one reused buffer, which
+// is written out whenever it passes perfettoFlush bytes, so an export
+// allocates the same whatever its event count. The first write error
+// sticks: later calls append nothing.
+type perfettoWriter struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+// newPerfettoWriter starts a trace of procs processors: the header and
+// one thread-name record per processor.
+func newPerfettoWriter(w io.Writer, procs int) *perfettoWriter {
 	b := make([]byte, 0, 2*perfettoFlush)
 	b = append(b, `{"displayTimeUnit":"ns","otherData":{"tool":`...)
 	b = strconv.AppendQuote(b, perfettoTool)
 	b = append(b, `,"procs":"`...)
-	b = strconv.AppendInt(b, int64(len(procs)), 10)
+	b = strconv.AppendInt(b, int64(procs), 10)
 	b = append(b, "\"},\"traceEvents\":[\n"...)
 	b = append(b, `{"ph":"M","pid":0,"name":"process_name","args":{"name":"origin2000"}}`...)
-	for p := range procs {
+	for p := 0; p < procs; p++ {
 		b = append(b, ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":"...)
 		b = strconv.AppendInt(b, int64(p), 10)
 		b = append(b, `,"name":"thread_name","args":{"name":"cpu`...)
 		b = strconv.AppendInt(b, int64(p), 10)
 		b = append(b, `"}}`...)
 	}
-	for p, evs := range procs {
-		for _, ev := range evs {
-			b = appendPerfettoEvent(b, p, ev)
-			if len(b) >= perfettoFlush {
-				if _, err := w.Write(b); err != nil {
-					return err
-				}
-				b = b[:0]
-			}
+	return &perfettoWriter{w: w, b: b}
+}
+
+// events encodes a run of processor p's events, oldest first.
+func (pw *perfettoWriter) events(p int, evs []Event) {
+	for _, ev := range evs {
+		if pw.err != nil {
+			return
+		}
+		pw.b = appendPerfettoEvent(pw.b, p, ev)
+		if len(pw.b) >= perfettoFlush {
+			_, pw.err = pw.w.Write(pw.b)
+			pw.b = pw.b[:0]
 		}
 	}
-	b = append(b, "\n]}\n"...)
-	_, err := w.Write(b)
+}
+
+// close ends the trace and writes out what is buffered.
+func (pw *perfettoWriter) close() error {
+	if pw.err != nil {
+		return pw.err
+	}
+	_, err := pw.w.Write(append(pw.b, "\n]}\n"...))
 	return err
+}
+
+// ExportPerfetto writes per-processor event streams as Chrome trace-event
+// JSON. It is a pure function of procs, so decode→re-encode round-trips to
+// identical bytes.
+func ExportPerfetto(w io.Writer, procs [][]Event) error {
+	pw := newPerfettoWriter(w, len(procs))
+	for p, evs := range procs {
+		pw.events(p, evs)
+	}
+	return pw.close()
 }
 
 // appendPerfettoEvent appends processor p's event ev as one complete-event
@@ -215,7 +245,17 @@ func DecodePerfetto(r io.Reader) ([][]Event, error) {
 	return procs, nil
 }
 
-// WritePerfetto exports the tracer's surviving event streams.
+// WritePerfetto exports the tracer's surviving event streams. It writes
+// the bytes ExportPerfetto writes for AllEvents, but encodes each ring in
+// place instead of copying it out first.
 func (t *Tracer) WritePerfetto(w io.Writer) error {
-	return ExportPerfetto(w, t.AllEvents())
+	pw := newPerfettoWriter(w, len(t.rings))
+	for p := range t.rings {
+		r := &t.rings[p]
+		older, newer := r.residentRuns()
+		pw.events(p, r.spill)
+		pw.events(p, older)
+		pw.events(p, newer)
+	}
+	return pw.close()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"origin2000/internal/sim"
@@ -170,6 +171,77 @@ func TestExportPerfettoReportsWriteError(t *testing.T) {
 	}
 	if err := ExportPerfetto(&failWriter{n: 0}, nil); !errors.Is(err, errFailWriter) {
 		t.Errorf("empty export to a failing writer: err = %v", err)
+	}
+}
+
+// tracerWith builds a tracer whose processor p has recorded counts[p]
+// events.
+func tracerWith(o Options, counts ...int) *Tracer {
+	tr := New(len(counts), o)
+	for p, n := range counts {
+		for i := 0; i < n; i++ {
+			tr.rings[p].record(mkEvent(p<<20 + i))
+		}
+	}
+	return tr
+}
+
+// TestWritePerfettoStreamsRings checks WritePerfetto, which encodes the
+// rings in place, writes exactly ExportPerfetto(AllEvents()) for rings in
+// every state: no events, partly filled, exactly full, wrapped (in lossy
+// mode, so the resident window straddles the buffer's end) and spilled
+// (in lossless mode).
+func TestWritePerfettoStreamsRings(t *testing.T) {
+	counts := []int{0, 5, 64, 100, 3000}
+	for _, lossless := range []bool{false, true} {
+		tr := tracerWith(Options{Enabled: true, RingSize: 64, Lossless: lossless}, counts...)
+		var got, want bytes.Buffer
+		if err := tr.WritePerfetto(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ExportPerfetto(&want, tr.AllEvents()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("lossless=%v: WritePerfetto wrote %d bytes that differ from ExportPerfetto's %d",
+				lossless, got.Len(), want.Len())
+		}
+		if lossless && want.Len() <= perfettoFlush {
+			t.Errorf("lossless export of %d bytes never flushes mid-stream", want.Len())
+		}
+	}
+}
+
+// allocs runs f twice and reports the heap allocations the second run
+// made: their count and their bytes. Like testing.AllocsPerRun it pins
+// GOMAXPROCS to 1, so no other goroutine allocates meanwhile.
+func allocs(f func()) (count, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWritePerfettoAllocsIndependentOfEvents guards the streaming export:
+// it allocates the same, in count and in bytes, whether each processor
+// holds 1K or 100K events.
+func TestWritePerfettoAllocsIndependentOfEvents(t *testing.T) {
+	export := func(n int) (count, bytes uint64) {
+		tr := tracerWith(Options{Enabled: true, Lossless: true}, n, n)
+		return allocs(func() {
+			if err := tr.WritePerfetto(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	c1, b1 := export(1000)
+	c2, b2 := export(100_000)
+	if c2 != c1 || b2 != b1 {
+		t.Errorf("export allocates %d times, %d bytes at 1K events per processor, %d times, %d bytes at 100K",
+			c1, b1, c2, b2)
 	}
 }
 

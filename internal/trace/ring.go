@@ -61,13 +61,23 @@ func (r *ring) dropped() uint64 {
 	return r.n - r.resident()
 }
 
+// residentRuns returns the events in the ring buffer as its two
+// contiguous runs, older first: the resident stream is older followed by
+// newer, and newer is empty unless the resident window wraps the buffer.
+func (r *ring) residentRuns() (older, newer []Event) {
+	res := r.resident()
+	start := (r.n - res) & r.mask
+	if end := start + res; end > uint64(len(r.buf)) {
+		return r.buf[start:], r.buf[:end-uint64(len(r.buf))]
+	}
+	return r.buf[start : start+res], nil
+}
+
 // events returns the surviving stream, oldest first.
 func (r *ring) events() []Event {
-	res := r.resident()
-	out := make([]Event, 0, uint64(len(r.spill))+res)
+	older, newer := r.residentRuns()
+	out := make([]Event, 0, len(r.spill)+len(older)+len(newer))
 	out = append(out, r.spill...)
-	for j := r.n - res; j < r.n; j++ {
-		out = append(out, r.buf[j&r.mask])
-	}
-	return out
+	out = append(out, older...)
+	return append(out, newer...)
 }
