@@ -232,23 +232,24 @@ func (s *server) sweep(wapp workload.App, spec scenario.Spec, ids, procCounts []
 			},
 		}
 		params := sc.Params(wapp, wapp.BasicSize(), "")
-		sc.TraceSink = func(label string, m *core.Machine) {
-			art := experiments.BuildArtifact(label, wapp, params, m)
-			var hp *hostprof.Report
-			if p := m.HostProf(); p != nil {
-				hp = p.Report()
-			}
-			s.mu.Lock()
-			s.runs[id].artifact = art
-			s.runs[id].hostprof = hp
-			s.runs[id].sharing = art.Sharing
-			s.runs[id].Size = params.Size
-			s.mu.Unlock()
-		}
+		var label string
+		var m *core.Machine
+		sc.OnMachine = func(l string, mm *core.Machine) { label, m = l, mm }
 		s.broadcastRun(id)
 		r, err := sc.Run(wapp, procs, params)
+		// A failed run still leaves its machine: its artifact is the one
+		// worth reading.
+		art := experiments.BuildArtifact(label, wapp, params, m)
+		var hp *hostprof.Report
+		if p := m.HostProf(); p != nil {
+			hp = p.Report()
+		}
 		s.mu.Lock()
 		rs := s.runs[id]
+		rs.artifact = art
+		rs.hostprof = hp
+		rs.sharing = art.Sharing
+		rs.Size = params.Size
 		if err != nil {
 			rs.Status = "failed"
 			rs.Error = err.Error()

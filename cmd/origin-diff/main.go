@@ -193,14 +193,12 @@ func runSpec(spec string, base runBase) (metrics.Artifact, error) {
 		return metrics.Artifact{}, err
 	}
 
-	var art metrics.Artifact
-	s.TraceSink = func(label string, m *core.Machine) {
-		art = experiments.BuildArtifact(spec, app, params, m)
-	}
+	var m *core.Machine
+	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 	if _, err := s.RunConfig(app, cfg, params); err != nil {
 		return metrics.Artifact{}, err
 	}
-	return art, nil
+	return experiments.BuildArtifact(spec, app, params, m), nil
 }
 
 // applySpec parses "key=value,key,..." into config and params overrides.

@@ -85,13 +85,20 @@ func main() {
 // capture runs fn at scale s. With an artifacts directory every machine
 // records a ring trace, and when fn fails the failing run's trace is
 // written there as Perfetto JSON: a failed run aborts its experiment, so it
-// is the last machine the trace sink saw.
+// is the last machine OnMachine saw. A hook already on s still sees every
+// machine.
 func capture(s experiments.Scale, artifacts string, fn func(experiments.Scale) error) error {
 	var label string
 	var last *core.Machine
 	if artifacts != "" {
 		s.Trace = trace.Options{Enabled: true}
-		s.TraceSink = func(l string, m *core.Machine) { label, last = l, m }
+		keep := s.OnMachine
+		s.OnMachine = func(l string, m *core.Machine) {
+			label, last = l, m
+			if keep != nil {
+				keep(l, m)
+			}
+		}
 	}
 	err := fn(s)
 	if err != nil && last != nil {

@@ -35,7 +35,7 @@ func TestCaptureWritesFailingTrace(t *testing.T) {
 	}
 
 	const dropAt = 8000 // drop the Nth invalidation the directory sends
-	s.OnMachine = func(m *core.Machine) {
+	s.OnMachine = func(_ string, m *core.Machine) {
 		n := 0
 		m.FaultDropInvalidation(func(block uint64, proc int) bool {
 			n++

@@ -329,7 +329,7 @@ func runResume(path, scenarioArg, engine string, workers int, every sim.Time, ck
 	s := experiments.Scale{Div: spec.Div, CacheDiv: spec.CacheDiv, Steps: spec.Steps, Seed: spec.Seed,
 		Engine: engine, Workers: workers}
 	var m *core.Machine
-	s.OnMachine = func(mm *core.Machine) { m = mm }
+	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 	fmt.Printf("resuming %s size=%d procs=%d from %s (quiescent seq %d, t=%v)\n",
 		spec.App, spec.Size, sn.Header.Procs, path, sn.Header.QuiesSeq, sn.Header.VirtualTime)
 	if _, err := s.ResumeConfig(app, cfg, params, sn); err != nil {
@@ -373,7 +373,7 @@ func runBisect(dir string, faultDrop int) {
 	if faultDrop > 0 {
 		// The confirming replay re-executes the run, so a fault seeded at
 		// capture time must be seeded again to reproduce.
-		s.OnMachine = func(m *core.Machine) {
+		s.OnMachine = func(_ string, m *core.Machine) {
 			n := 0
 			m.FaultDropInvalidation(func(block uint64, proc int) bool {
 				n++

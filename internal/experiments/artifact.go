@@ -12,7 +12,7 @@ const artifactTopN = 64
 // BuildArtifact snapshots a finished run as a metrics.Artifact: the final
 // per-processor state always, the sampler's series when metrics were on, and
 // the trace-derived page/sync attribution tables when tracing was on. The
-// machine is typically captured through Scale.TraceSink, which sees it even
+// machine is typically captured through Scale.OnMachine, which sees it even
 // for failed runs.
 func BuildArtifact(label string, app workload.App, params workload.Params, m *core.Machine) metrics.Artifact {
 	a := metrics.Artifact{

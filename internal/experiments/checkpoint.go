@@ -128,10 +128,10 @@ func (s Scale) ResumeConfig(app workload.App, cfg core.Config, params workload.P
 	cfg.Checkpoint.Resume = sn
 	var m *core.Machine
 	keep := s.OnMachine
-	s.OnMachine = func(mm *core.Machine) {
+	s.OnMachine = func(label string, mm *core.Machine) {
 		m = mm
 		if keep != nil {
-			keep(mm)
+			keep(label, mm)
 		}
 	}
 	defer func() {
@@ -181,10 +181,10 @@ func replayConfig(sn *snapshot.Snapshot) (core.Config, error) {
 // success and returning the machine for inspection.
 func (s Scale) replay(app workload.App, cfg core.Config, params workload.Params) (m *core.Machine, err error) {
 	keep := s.OnMachine
-	s.OnMachine = func(mm *core.Machine) {
+	s.OnMachine = func(label string, mm *core.Machine) {
 		m = mm
 		if keep != nil {
-			keep(mm)
+			keep(label, mm)
 		}
 	}
 	defer func() {

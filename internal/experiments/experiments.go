@@ -57,10 +57,6 @@ type Scale struct {
 	// Metrics configures the virtual-time sampler on every machine the
 	// scale builds (zero value = sampling off).
 	Metrics metrics.Options
-	// TraceSink, when set together with Trace.Enabled, receives every
-	// machine RunConfig executes — including failed runs, whose traces
-	// are exactly the interesting ones — labeled "<app>-p<procs>-s<size>".
-	TraceSink func(label string, m *core.Machine)
 	// Engine selects the execution engine on every machine the scale
 	// builds: "serial" (default) or "parallel" (bit-identical, uses
 	// Workers host cores).
@@ -81,9 +77,12 @@ type Scale struct {
 	// the schedule is identical at any worker count, so results are too.
 	Sharing bool
 	// OnMachine, when set, sees every machine RunConfig builds before the
-	// application runs on it — the hook fault-injection and checkpoint
-	// tests use to reach Machine-level knobs the Config does not carry.
-	OnMachine func(m *core.Machine)
+	// application runs on it, labeled "<app>-p<procs>-s<size>": the hook
+	// fault injection uses to reach Machine-level knobs the Config does
+	// not carry, and the way a caller keeps the machine to read its
+	// observers after the run — failed runs included, whose traces are
+	// exactly the interesting ones.
+	OnMachine func(label string, m *core.Machine)
 	// Scenario declares the machine every config this scale builds:
 	// interconnect topology, directory sharer format and latency preset
 	// (see internal/scenario and DESIGN.md §16). nil selects the default
@@ -307,19 +306,14 @@ func (s Scale) Run(app workload.App, procs int, params workload.Params) (RunResu
 	return s.RunConfig(app, s.Machine(procs), params)
 }
 
-// RunConfig executes app on a machine built from cfg. When a TraceSink is
-// installed it sees the machine after the run, even a failed one — the
-// failing execution's trace is the one worth exporting.
+// RunConfig executes app on a machine built from cfg, handing the machine
+// to OnMachine first.
 func (s Scale) RunConfig(app workload.App, cfg core.Config, params workload.Params) (RunResult, error) {
 	m := core.New(cfg)
 	if s.OnMachine != nil {
-		s.OnMachine(m)
+		s.OnMachine(fmt.Sprintf("%s-p%d-s%d", app.Name(), cfg.Procs, params.Size), m)
 	}
-	err := app.Run(m, params)
-	if s.TraceSink != nil {
-		s.TraceSink(fmt.Sprintf("%s-p%d-s%d", app.Name(), cfg.Procs, params.Size), m)
-	}
-	if err != nil {
+	if err := app.Run(m, params); err != nil {
 		return RunResult{}, fmt.Errorf("%s (procs=%d, size=%d, variant=%q): %w",
 			app.Name(), cfg.Procs, params.Size, params.Variant, err)
 	}

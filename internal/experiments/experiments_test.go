@@ -75,6 +75,7 @@ func TestTable2RunsAllApps(t *testing.T) {
 }
 
 func TestFigure2And3(t *testing.T) {
+	t.Parallel()
 	se := testSession()
 	var sb strings.Builder
 	if err := Figure2(se, &sb); err != nil {

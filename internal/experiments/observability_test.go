@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,59 +10,13 @@ import (
 	"origin2000/internal/workload"
 )
 
-// TestHostProfScheduleNeutral is the host-time profiler's acceptance test:
-// turning it on must not change a single observable. Unlike the checker and
-// the sampler, hostprof does not force workers=1 — it claims to be
-// schedule-neutral, so the full measurement (every counter, every
-// per-processor split) must be bit-identical with the profiler on and off
-// at every worker count, including the truly concurrent ones where a
-// profiler that fed host time back into the schedule would diverge.
-func TestHostProfScheduleNeutral(t *testing.T) {
-	for _, appName := range []string{"Ocean", "Barnes"} {
-		appName := appName
-		t.Run(appName, func(t *testing.T) {
-			t.Parallel()
-			app := AppByName(appName)
-			run := func(workers int, hostprof bool) (RunResult, *core.Machine) {
-				s := Scale{Div: 64, CacheDiv: 64, Engine: "parallel", Workers: workers, HostProf: hostprof}
-				var m *core.Machine
-				s.OnMachine = func(mm *core.Machine) { m = mm }
-				r, err := s.RunConfig(app, s.Machine(32), s.Params(app, app.BasicSize(), ""))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r, m
-			}
-			for _, workers := range []int{1, 2, 8} {
-				off, moff := run(workers, false)
-				on, mon := run(workers, true)
-				if !reflect.DeepEqual(off, on) {
-					t.Errorf("workers=%d: hostprof changed the measurement:\noff %+v\non  %+v",
-						workers, off, on)
-				}
-				if moff.HostProf() != nil {
-					t.Errorf("workers=%d: profiler attached with HostProf off", workers)
-				}
-				hp := mon.HostProf()
-				if hp == nil {
-					t.Fatalf("workers=%d: HostProf on but machine has no profiler", workers)
-				}
-				if rep := hp.Report(); rep.WallNS <= 0 || rep.Workers != workers {
-					t.Errorf("workers=%d: degenerate report wall=%dns workers=%d",
-						workers, rep.WallNS, rep.Workers)
-				}
-			}
-		})
-	}
-}
-
 // critPathFor runs app at 32 processors with the critical-path recorder on
 // and returns the analyzed path.
 func critPathFor(t *testing.T, app workload.App) *metrics.Artifact {
 	t.Helper()
 	s := Scale{Div: 64, CacheDiv: 64, CritPath: true}
 	var m *core.Machine
-	s.OnMachine = func(mm *core.Machine) { m = mm }
+	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 	params := s.Params(app, app.BasicSize(), "")
 	if _, err := s.RunConfig(app, s.Machine(32), params); err != nil {
 		t.Fatal(err)
@@ -157,7 +110,7 @@ func TestCritPathOffErrors(t *testing.T) {
 	app := AppByName("FFT")
 	s := Scale{Div: 64, CacheDiv: 64}
 	var m *core.Machine
-	s.OnMachine = func(mm *core.Machine) { m = mm }
+	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 	params := s.Params(app, app.BasicSize(), "")
 	if _, err := s.RunConfig(app, s.Machine(8), params); err != nil {
 		t.Fatal(err)

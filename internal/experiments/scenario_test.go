@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 
 // scenarioRun executes app at the given processor count on the named
 // scenario's machine and returns the full measurement. Scale matches the
-// engine-equivalence tests (Div 64).
+// contract suite (Div 64).
 func scenarioRun(t *testing.T, appName, scenarioName, engine string, workers int, procs int, check bool) RunResult {
 	t.Helper()
 	return specRun(t, appName, mustNamed(t, scenarioName), engine, workers, procs, check)
@@ -33,36 +32,6 @@ func specRun(t *testing.T, appName string, spec scenario.Spec, engine string, wo
 		t.Fatal(err)
 	}
 	return r
-}
-
-// TestDefaultScenarioBitIdentity is the refactor's gate: a nil scenario, an
-// explicit default spec, and the "origin" preset must all build the same
-// machine — same elapsed time, same perf.Result down to every counter — as
-// the pre-scenario hard-coded one (represented by the nil-scenario run,
-// whose construction path carries no scenario-derived state).
-func TestDefaultScenarioBitIdentity(t *testing.T) {
-	app := AppByName("FFT")
-	s := Scale{Div: 64, CacheDiv: 64}
-	params := s.Params(app, app.BasicSize(), "")
-	base, err := s.Run(app, 32, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := scenario.Default()
-	for _, tc := range []struct {
-		name string
-		spec scenario.Spec
-	}{{"explicit-default", def}, {"origin-preset", mustNamed(t, "origin")}} {
-		sc := Scale{Div: 64, CacheDiv: 64, Scenario: &tc.spec}
-		got, err := sc.Run(app, 32, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("%s: results differ from the nil-scenario machine:\nnil      %+v\nscenario %+v",
-				tc.name, base, got)
-		}
-	}
 }
 
 func mustNamed(t *testing.T, name string) scenario.Spec {
@@ -107,28 +76,6 @@ func TestDirectoryFormatEquivalence(t *testing.T) {
 			}
 			t.Logf("%s invalidations: fullvec=%d limited=%d coarse=%d",
 				appName, invals["origin"], invals["limited"], invals["coarse"])
-		})
-	}
-}
-
-// TestScenarioEngineEquivalence extends the serial/parallel bit-identity
-// contract to non-default machines: on a mesh fabric and under the
-// limited-pointer directory (whose broadcast extras exercise the hub-
-// occupancy path), the parallel engine at 2 and 8 workers must reproduce
-// the serial engine's results exactly.
-func TestScenarioEngineEquivalence(t *testing.T) {
-	for _, scn := range []string{"origin", "mesh", "limited"} {
-		scn := scn
-		t.Run(scn, func(t *testing.T) {
-			t.Parallel()
-			serial := scenarioRun(t, "FFT", scn, "serial", 0, 32, false)
-			for _, workers := range []int{2, 8} {
-				par := scenarioRun(t, "FFT", scn, "parallel", workers, 32, false)
-				if !reflect.DeepEqual(serial, par) {
-					t.Errorf("workers=%d results differ between engines on scenario %s:\nserial   %+v\nparallel %+v",
-						workers, scn, serial, par)
-				}
-			}
 		})
 	}
 }

@@ -5,68 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"origin2000/internal/core"
 	"origin2000/internal/trace"
 	"origin2000/internal/workload"
 )
-
-// sharingRun executes app at 32 processors with the sharing classifier
-// toggled, returning the measurement and the machine (for the report).
-func sharingRun(t *testing.T, appName, engine string, workers int, on bool) (RunResult, *core.Machine) {
-	t.Helper()
-	return engineRun(t, appName, engine, workers, func(cfg *core.Config) {
-		cfg.Sharing.Enabled = on
-	})
-}
-
-// TestSharingScheduleNeutral is the classifier's observer contract: turning
-// it on must not move a single virtual-time event. A run with the sharing
-// classifier enabled must produce exactly the RunResult of the same run
-// without it — elapsed time, every counter — at every requested worker
-// count (the classifier forces the effective count to one, and the
-// windowed schedule is a function of virtual time only, so all runs land
-// on the same schedule). The classification itself must be equally stable:
-// the report is bit-identical across requested worker counts and across
-// the serial and parallel engines.
-func TestSharingScheduleNeutral(t *testing.T) {
-	for _, name := range []string{"FFT", "Radix"} {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			base, _ := sharingRun(t, name, "parallel", 1, false)
-			report := func(m *core.Machine) any { return m.SharingReport(0) }
-
-			serial, sm := sharingRun(t, name, "serial", 0, true)
-			if !reflect.DeepEqual(base, serial) {
-				t.Errorf("serial engine perturbed by sharing classifier:\noff %+v\non  %+v", base, serial)
-			}
-			ref := report(sm)
-			if ref == nil {
-				t.Fatal("sharing enabled but SharingReport returned nil")
-			}
-			for _, workers := range []int{1, 2, 8} {
-				on, m := sharingRun(t, name, "parallel", workers, true)
-				if !reflect.DeepEqual(base, on) {
-					t.Errorf("workers=%d run perturbed by sharing classifier:\noff %+v\non  %+v",
-						workers, base, on)
-				}
-				if r := report(m); !reflect.DeepEqual(ref, r) {
-					t.Errorf("workers=%d sharing report differs from serial engine's:\nserial   %+v\nparallel %+v",
-						workers, ref, r)
-				}
-			}
-
-			// Same config twice: classification is a pure function of the
-			// (deterministic) schedule, so the report replays bit-identically.
-			_, m2 := sharingRun(t, name, "serial", 0, true)
-			if !reflect.DeepEqual(ref, report(m2)) {
-				t.Error("sharing report not reproducible across identical runs")
-			}
-		})
-	}
-}
 
 // TestSharingOffByDefault pins the zero-cost-off contract at the surface:
 // a scale without Sharing set yields machines with no observer, a nil
@@ -76,7 +20,7 @@ func TestSharingOffByDefault(t *testing.T) {
 	app := AppByName("FFT")
 	s := Scale{Div: 64, CacheDiv: 64}
 	var m *core.Machine
-	s.OnMachine = func(mm *core.Machine) { m = mm }
+	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 	params := s.Params(app, app.BasicSize(), "")
 	if _, err := s.RunConfig(app, s.Machine(8), params); err != nil {
 		t.Fatal(err)
@@ -109,7 +53,7 @@ func saveSharingReport(t *testing.T, s Scale, app workload.App, procs int, varia
 		return
 	}
 	var m *core.Machine
-	s.OnMachine = func(mm *core.Machine) { m = mm }
+	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 	cfg := s.Machine(procs)
 	cfg.Sharing.Enabled = true
 	// The rerun fails the same verification; the classifier state at the

@@ -66,7 +66,7 @@ func TestEngineSpeedupSmoke(t *testing.T) {
 			app := AppByName(name)
 			s := Scale{Div: 8, CacheDiv: 8, Engine: "parallel", Workers: 4, HostProf: true}
 			var m *core.Machine
-			s.OnMachine = func(mm *core.Machine) { m = mm }
+			s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
 			if _, err := s.RunConfig(app, s.Machine(32), s.Params(app, app.BasicSize(), "")); err != nil {
 				t.Logf("hostprof rerun %s: %v", name, err)
 				continue

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"origin2000/internal/core"
@@ -25,76 +23,6 @@ func traceRun(t *testing.T, s Scale, appName string, procs int, o trace.Options)
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestTraceDeterminism pins the tracing regression contract: a 32-processor
-// FFT run's exported trace — Perfetto JSON and compact binary alike — must
-// be bit-identical run to run and across GOMAXPROCS settings. Everything the
-// tracer records is a pure function of the deterministic simulation, so any
-// byte of divergence is a scheduler or recording-order bug.
-func TestTraceDeterminism(t *testing.T) {
-	s := Scale{Div: 64, CacheDiv: 64}
-	export := func() (pf, bin []byte) {
-		m := traceRun(t, s, "FFT", 32, trace.Options{Enabled: true, Lossless: true})
-		var pfb, binb bytes.Buffer
-		if err := m.Tracer().WritePerfetto(&pfb); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Tracer().WriteBinary(&binb); err != nil {
-			t.Fatal(err)
-		}
-		return pfb.Bytes(), binb.Bytes()
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	runtime.GOMAXPROCS(1)
-	pf1, bin1 := export()
-	pf2, bin2 := export()
-	if !bytes.Equal(pf1, pf2) {
-		t.Error("Perfetto trace differs run to run at GOMAXPROCS=1")
-	}
-	if !bytes.Equal(bin1, bin2) {
-		t.Error("binary trace differs run to run at GOMAXPROCS=1")
-	}
-
-	runtime.GOMAXPROCS(4)
-	pf3, bin3 := export()
-	if !bytes.Equal(pf1, pf3) {
-		t.Error("Perfetto trace differs between GOMAXPROCS=1 and 4")
-	}
-	if !bytes.Equal(bin1, bin3) {
-		t.Error("binary trace differs between GOMAXPROCS=1 and 4")
-	}
-	if len(pf1) == 0 || len(bin1) == 0 {
-		t.Fatal("exports are empty")
-	}
-}
-
-// TestTraceZeroPerturbation verifies the Check-style discipline: enabling
-// the tracer must not move a single virtual clock. Elapsed time, every
-// per-processor breakdown, every counter, and the per-node queueing totals
-// of a traced run must equal the untraced run's exactly.
-func TestTraceZeroPerturbation(t *testing.T) {
-	s := Scale{Div: 64, CacheDiv: 64}
-	plain := traceRun(t, s, "FFT", 32, trace.Options{})
-	traced := traceRun(t, s, "FFT", 32, trace.Options{Enabled: true, Lossless: true})
-
-	if plain.Elapsed() != traced.Elapsed() {
-		t.Errorf("elapsed differs: untraced %d, traced %d", plain.Elapsed(), traced.Elapsed())
-	}
-	rp, rt := plain.Result(), traced.Result()
-	if rp.Trace != nil {
-		t.Error("untraced run carries a tracer")
-	}
-	if rt.Trace == nil {
-		t.Error("traced run lost its tracer")
-	}
-	rp.Trace, rt.Trace = nil, nil
-	if !reflect.DeepEqual(rp, rt) {
-		t.Errorf("results diverge with tracing on:\nuntraced %+v\ntraced   %+v", rp, rt)
-	}
 }
 
 // TestOceanTraceAttribution is the end-to-end acceptance check: a traced
@@ -166,28 +94,28 @@ func TestOceanTraceAttribution(t *testing.T) {
 	}
 }
 
-// TestTraceSinkSeesFailedRuns pins the flight-recorder contract RunConfig
-// gives CI: the TraceSink receives the machine even when the run fails, so
-// the failing execution's trace can be exported.
-func TestTraceSinkSeesFailedRuns(t *testing.T) {
+// TestOnMachineSeesFailedRuns pins the flight-recorder contract RunConfig
+// gives CI: OnMachine hands over the machine, labeled, even when the run
+// then fails, so the failing execution's trace can be exported.
+func TestOnMachineSeesFailedRuns(t *testing.T) {
 	var label string
-	var sunk *core.Machine
+	var seen *core.Machine
 	s := Scale{Div: 64, CacheDiv: 64,
 		Trace: trace.Options{Enabled: true},
 	}
-	s.TraceSink = func(l string, m *core.Machine) { label, sunk = l, m }
+	s.OnMachine = func(l string, m *core.Machine) { label, seen = l, m }
 	app := AppByName("FFT")
 	params := workload.Params{Size: -1, Seed: 42} // invalid size: the run must fail
 	if _, err := s.RunConfig(app, s.Machine(4), params); err == nil {
-		t.Skip("invalid size did not fail; sink-on-failure untestable this way")
+		t.Skip("invalid size did not fail; hook-on-failure untestable this way")
 	}
-	if sunk == nil {
-		t.Fatal("TraceSink not called for a failed run")
+	if seen == nil {
+		t.Fatal("OnMachine not called for a failed run")
 	}
-	if sunk.Tracer() == nil {
-		t.Error("sunk machine has no tracer despite Trace.Enabled")
+	if seen.Tracer() == nil {
+		t.Error("machine has no tracer despite Trace.Enabled")
 	}
-	if label == "" {
-		t.Error("sink label empty")
+	if label != "FFT-p4-s-1" {
+		t.Errorf("label %q, want FFT-p4-s-1", label)
 	}
 }

@@ -127,6 +127,22 @@ func (s Spec) Validate(procs int) error {
 	if n.Directory.Pointers < 0 || n.Directory.Region < 0 {
 		return fmt.Errorf("scenario %s: negative directory parameter", n.label())
 	}
+	// A parameter its kind ignores builds the same machine but changes the
+	// content hash, so resume would refuse a checkpoint of that machine.
+	for _, p := range []struct {
+		set         bool
+		field, kind string
+	}{
+		{n.Topology.PodSize != 0 && n.Topology.Kind != "fattree", "topology.pod_size", "fattree"},
+		{n.Topology.GroupSize != 0 && n.Topology.Kind != "dragonfly", "topology.group_size", "dragonfly"},
+		{n.Topology.ForceMetarouters && n.Topology.Kind != "origin", "topology.force_metarouters", "origin"},
+		{n.Directory.Pointers != 0 && n.Directory.Format != "limited", "directory.pointers", "limited"},
+		{n.Directory.Region != 0 && n.Directory.Format != "coarse", "directory.region", "coarse"},
+	} {
+		if p.set {
+			return fmt.Errorf("scenario %s: %s applies only to the %s kind", n.label(), p.field, p.kind)
+		}
+	}
 	valid := false
 	for _, p := range LatencyPresets {
 		if n.Latency == p {
@@ -289,7 +305,7 @@ func Load(arg string) (Spec, error) {
 	}
 	s = s.Normalized()
 	if err := s.Validate(0); err != nil {
-		return Spec{}, err
+		return Spec{}, fmt.Errorf("%s: %w", arg, err)
 	}
 	return s, nil
 }

@@ -169,19 +169,25 @@ func TestLoad(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsUnknownFields: a typo in a spec file, or anything after
-// the spec, must fail loudly rather than silently building a machine from
-// part of the file.
+// TestLoadRejectsUnknownFields: a typo in a spec file, anything after the
+// spec, or a parameter the chosen kind ignores must fail loudly rather than
+// silently building a machine from part of the file. An ignored parameter's
+// error names the field.
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	dir := t.TempDir()
-	for name, body := range map[string]string{
-		"typo.json":    `{"topolgy": {"kind": "mesh2d"}}`,
-		"second.json":  `{"name":"m1","topology":{"kind":"mesh2d"}} {"topology":{"kind":"bogus"}}`,
-		"garbage.json": `{"name":"m1","topology":{"kind":"mesh2d"}} garbage!!`,
+	for name, c := range map[string]struct{ body, field string }{
+		"typo.json":        {body: `{"topolgy": {"kind": "mesh2d"}}`},
+		"second.json":      {body: `{"name":"m1","topology":{"kind":"mesh2d"}} {"topology":{"kind":"bogus"}}`},
+		"garbage.json":     {body: `{"name":"m1","topology":{"kind":"mesh2d"}} garbage!!`},
+		"mesh-pods.json":   {`{"topology":{"kind":"mesh2d","pod_size":5}}`, "pod_size"},
+		"tree-groups.json": {`{"topology":{"kind":"fattree","group_size":4}}`, "group_size"},
+		"mesh-meta.json":   {`{"topology":{"kind":"mesh2d","force_metarouters":true}}`, "force_metarouters"},
+		"full-ptrs.json":   {`{"directory":{"pointers":3}}`, "pointers"},
+		"ltd-region.json":  {`{"directory":{"format":"limited","region":8}}`, "region"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, name)
-			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, err := Load(path)
@@ -190,6 +196,9 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), path) {
 				t.Errorf("error %q does not name the file", err)
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("error %q does not name the field %s", err, c.field)
 			}
 		})
 	}
