@@ -8,6 +8,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"origin2000/internal/experiments"
 	"origin2000/internal/scenario"
@@ -74,6 +77,9 @@ func (f *Flags) Resolve() (Run, error) {
 	if app == nil {
 		return Run{}, fmt.Errorf("-app: unknown application %q (see origin-run -list)", f.App)
 	}
+	if err := Variant(app, f.Variant); err != nil {
+		return Run{}, fmt.Errorf("-variant: %w", err)
+	}
 	spec, err := scenario.Load(f.Scenario)
 	if err != nil {
 		return Run{}, err
@@ -102,6 +108,22 @@ func (r Run) With(app workload.App) Run {
 	r.Params = r.Scale.Params(app, r.PaperSize, r.variant)
 	r.Params.Prefetch = r.prefetch
 	return r
+}
+
+// Variant returns an error naming app and its variants unless v is one of
+// them ("" is the original algorithm). Every CLI that takes a variant
+// checks it here, so a typo fails instead of running the original
+// algorithm under the typo's label.
+func Variant(app workload.App, v string) error {
+	vs := app.Variants()
+	if slices.Contains(vs, v) {
+		return nil
+	}
+	quoted := make([]string, len(vs))
+	for i, x := range vs {
+		quoted[i] = strconv.Quote(x)
+	}
+	return fmt.Errorf("%s has no variant %q (variants: %s)", app.Name(), v, strings.Join(quoted, ", "))
 }
 
 // AtLeast returns an error naming flag -name when its value v is below

@@ -31,6 +31,7 @@ func TestResolveRejectsBadValues(t *testing.T) {
 		{"-size", "-1"},
 		{"-steps", "-1"},
 		{"-app", "Bogus"},
+		{"-variant", "smaple"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			_, err := parse(t, args...).Resolve()
@@ -66,5 +67,30 @@ func TestResolveDefaults(t *testing.T) {
 	fft := r.With(experiments.AppByName("FFT"))
 	if fft.PaperSize != fft.App.BasicSize() || fft.Params.Size != fft.Scale.Params(fft.App, fft.PaperSize, "").Size {
 		t.Errorf("With(FFT) kept Ocean's sizes: %+v", fft.Params)
+	}
+}
+
+// TestResolveChecksVariant: a variant the application does not have fails
+// naming the application and every variant it has, and each variant it
+// has resolves into the parameters.
+func TestResolveChecksVariant(t *testing.T) {
+	_, err := parse(t, "-app", "Radix", "-variant", "smaple").Resolve()
+	if err == nil {
+		t.Fatal("unknown variant accepted")
+	}
+	for _, want := range []string{"-variant", "Radix", `"smaple"`, `"", "buffered", "sample"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	for _, v := range experiments.AppByName("Radix").Variants() {
+		r, err := parse(t, "-app", "Radix", "-variant", v).Resolve()
+		if err != nil {
+			t.Errorf("variant %q: %v", v, err)
+			continue
+		}
+		if r.Params.Variant != v {
+			t.Errorf("variant %q resolved to %q", v, r.Params.Variant)
+		}
 	}
 }

@@ -74,11 +74,11 @@ func main() {
 	}
 	a, err := resolveSide(*sideA, base)
 	if err != nil {
-		fatal("side A: %v", err)
+		sideFatal("side A", err)
 	}
 	b, err := resolveSide(*sideB, base)
 	if err != nil {
-		fatal("side B: %v", err)
+		sideFatal("side B", err)
 	}
 	if *saveA != "" {
 		if err := a.WriteFile(*saveA); err != nil {
@@ -144,6 +144,21 @@ func fatal(format string, args ...any) {
 	os.Exit(1)
 }
 
+// specError marks a run spec that does not parse. It exits 2, like the
+// flag errors; a run that fails exits 1.
+type specError struct{ error }
+
+func (e specError) Unwrap() error { return e.error }
+
+// sideFatal reports a side's error and exits.
+func sideFatal(side string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", side, err)
+	if errors.As(err, new(specError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
 // runBase holds the flags shared by both sides' live runs.
 type runBase struct {
 	appName  string
@@ -173,7 +188,7 @@ func resolveSide(arg string, base runBase) (metrics.Artifact, error) {
 func runSpec(spec string, base runBase) (metrics.Artifact, error) {
 	app := experiments.AppByName(base.appName)
 	if app == nil {
-		return metrics.Artifact{}, fmt.Errorf("unknown app %q", base.appName)
+		return metrics.Artifact{}, specError{fmt.Errorf("unknown app %q", base.appName)}
 	}
 	s := experiments.Scale{Div: base.scale, CacheDiv: base.scale, Steps: base.steps, Seed: base.seed}
 	s.Metrics = metrics.Options{Enabled: true, Interval: base.interval}
@@ -189,8 +204,8 @@ func runSpec(spec string, base runBase) (metrics.Artifact, error) {
 	}
 	params := s.Params(app, paperSize, "")
 	cfg := s.Machine(base.procs)
-	if err := applySpec(spec, &cfg, &params); err != nil {
-		return metrics.Artifact{}, err
+	if err := applySpec(spec, app, &cfg, &params); err != nil {
+		return metrics.Artifact{}, specError{err}
 	}
 
 	var m *core.Machine
@@ -201,8 +216,9 @@ func runSpec(spec string, base runBase) (metrics.Artifact, error) {
 	return experiments.BuildArtifact(spec, app, params, m), nil
 }
 
-// applySpec parses "key=value,key,..." into config and params overrides.
-func applySpec(spec string, cfg *core.Config, params *workload.Params) error {
+// applySpec parses "key=value,key,..." into config and params overrides
+// for a run of app.
+func applySpec(spec string, app workload.App, cfg *core.Config, params *workload.Params) error {
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -240,6 +256,9 @@ func applySpec(spec string, cfg *core.Config, params *workload.Params) error {
 			}
 			cfg.Procs = n
 		case "variant":
+			if err := runflags.Variant(app, val); err != nil {
+				return fmt.Errorf("variant=%q: %w", val, err)
+			}
 			params.Variant = val
 		case "prefetch":
 			params.Prefetch = true

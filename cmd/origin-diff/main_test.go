@@ -1,9 +1,14 @@
 package main
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"origin2000/internal/core"
+	"origin2000/internal/experiments"
 	"origin2000/internal/metrics"
+	"origin2000/internal/workload"
 )
 
 // TestDiffExactAttribution is the PR's acceptance criterion for origin-diff:
@@ -54,5 +59,19 @@ func TestApplySpecRejectsUnknownKeys(t *testing.T) {
 	}
 	if _, err := runSpec("placement=diagonal", base); err == nil {
 		t.Error("bad placement value accepted")
+	}
+	_, err := runSpec("variant=smaple", base)
+	if !errors.As(err, new(specError)) {
+		t.Fatalf("unknown variant: err = %v, want a spec error", err)
+	}
+	for _, want := range []string{"variant=", "FFT", `"smaple"`, `"", "offnode", "implicit"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	var params workload.Params
+	var cfg core.Config
+	if err := applySpec("variant=offnode", experiments.AppByName("FFT"), &cfg, &params); err != nil || params.Variant != "offnode" {
+		t.Errorf("variant=offnode: err = %v, variant %q", err, params.Variant)
 	}
 }

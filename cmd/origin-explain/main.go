@@ -39,6 +39,14 @@ func main() {
 	)
 	flag.Parse()
 
+	if *all {
+		for _, app := range experiments.Apps() {
+			if err := runflags.Variant(app, rf.Variant); err != nil {
+				fmt.Fprintln(os.Stderr, "origin-explain: -variant:", err)
+				os.Exit(2)
+			}
+		}
+	}
 	run, err := rf.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "origin-explain:", err)

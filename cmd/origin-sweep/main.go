@@ -56,6 +56,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := runflags.Variant(app, *variant); err != nil {
+		fmt.Fprintln(os.Stderr, "-variant:", err)
+		os.Exit(2)
+	}
 	var procs []int
 	for _, tok := range strings.Split(*procsList, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))

@@ -39,6 +39,7 @@ import (
 
 	"origin2000/internal/cache"
 	"origin2000/internal/directory"
+	"origin2000/internal/pagearray"
 	"origin2000/internal/sim"
 )
 
@@ -261,16 +262,12 @@ func (b *blockMirror) drop(proc int) {
 	}
 }
 
-// Mirror storage follows the directory's page-dense layout (DESIGN.md §7):
-// blocks are grouped by their 16 KB page, each touched page owns a flat
-// array of mirrors, and a last-page memo serves the common run of events on
-// one page without a map hash.
-const (
-	pageBlockShift = 7
-	blocksPerPage  = 1 << pageBlockShift
-)
-
-type mirrorPage [blocksPerPage]blockMirror
+// Mirror storage is a page array (internal/pagearray), the layout the
+// tracer's heat index shares: blocks are grouped by their 16 KB page, each
+// touched page owns a flat array of mirrors, and pages are indexed
+// directly by page number. The checker runs on one host worker, so it
+// grows the array on demand.
+type mirrorPage = pagearray.Page[struct{}, blockMirror]
 
 // DirView is the directory state the checker audits against. A single
 // *directory.Directory satisfies it directly; the machine's sharded build
@@ -294,9 +291,7 @@ type Checker struct {
 	caches []*cache.Cache
 	clocks []sim.Time
 
-	pages   map[uint64]*mirrorPage
-	lastKey uint64      // page index of last
-	last    *mirrorPage // memo of the most recently touched page
+	mirrors pagearray.Array[struct{}, blockMirror]
 
 	// MaxViolations bounds the violations retained (default 16); detection
 	// continues but further reports are dropped, keeping a broken run from
@@ -315,10 +310,15 @@ func New(nprocs int, dir DirView) *Checker {
 		dir:           dir,
 		caches:        make([]*cache.Cache, nprocs),
 		clocks:        make([]sim.Time, nprocs),
-		pages:         make(map[uint64]*mirrorPage),
 		MaxViolations: 16,
 	}
 }
+
+// GrowPages extends the mirrors to cover pages [0, n). Live events grow
+// them on demand, since the machine only reports blocks it allocated;
+// Restore accepts only blocks on covered pages, so the machine sizes a
+// checker to its pages before restoring one.
+func (c *Checker) GrowPages(n int) { c.mirrors.Grow(n) }
 
 // AttachCache registers processor p's cache for agreement checks.
 func (c *Checker) AttachCache(p int, ca *cache.Cache) { c.caches[p] = ca }
@@ -344,17 +344,8 @@ func (c *Checker) Err() error {
 
 // mirror returns block's mirror, marking it seen.
 func (c *Checker) mirror(block uint64) *blockMirror {
-	key := block >> pageBlockShift
-	pg := c.last
-	if pg == nil || key != c.lastKey {
-		pg = c.pages[key]
-		if pg == nil {
-			pg = new(mirrorPage)
-			c.pages[key] = pg
-		}
-		c.lastKey, c.last = key, pg
-	}
-	b := &pg[block&(blocksPerPage-1)]
+	c.mirrors.Grow(int(block>>pagearray.PageBlockShift) + 1)
+	b := c.mirrors.Block(block)
 	if !b.seen {
 		b.seen, b.owner = true, -1
 	}
@@ -363,8 +354,8 @@ func (c *Checker) mirror(block uint64) *blockMirror {
 
 // peek returns block's mirror, or nil if no event has touched the block.
 func (c *Checker) peek(block uint64) *blockMirror {
-	if pg := c.pages[block>>pageBlockShift]; pg != nil {
-		if b := &pg[block&(blocksPerPage-1)]; b.seen {
+	if pg := c.mirrors.Peek(block >> pagearray.PageBlockShift); pg != nil {
+		if b := pg.Block(block); b.seen {
 			return b
 		}
 	}
@@ -373,19 +364,13 @@ func (c *Checker) peek(block uint64) *blockMirror {
 
 // forEach visits every seen block in ascending block order.
 func (c *Checker) forEach(fn func(block uint64, b *blockMirror)) {
-	keys := make([]uint64, 0, len(c.pages))
-	for key := range c.pages {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		pg := c.pages[key]
-		for i := range pg {
-			if pg[i].seen {
-				fn(key<<pageBlockShift|uint64(i), &pg[i])
+	c.mirrors.ForEach(func(page uint64, pg *mirrorPage) {
+		for i := range pg.Blocks {
+			if pg.Blocks[i].seen {
+				fn(pagearray.BlockOf(page, i), &pg.Blocks[i])
 			}
 		}
-	}
+	})
 }
 
 func (c *Checker) record(b *blockMirror, kind EventKind, proc int, at sim.Time) {

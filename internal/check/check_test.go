@@ -10,6 +10,7 @@ import (
 
 	"origin2000/internal/cache"
 	"origin2000/internal/directory"
+	"origin2000/internal/pagearray"
 	"origin2000/internal/sim"
 )
 
@@ -290,7 +291,7 @@ func TestRestoreRejectsBadHistory(t *testing.T) {
 	for _, c := range cases {
 		s := New(2, directory.New()).Snap()
 		s.Blocks = []BlockSnap{{Block: 0x2a, Owner: -1, HistN: c.histN, Hist: c.hist}}
-		if err := New(2, directory.New()).Restore(s); err == nil || !strings.Contains(err.Error(), "block 0x2a") {
+		if err := restorable(2).Restore(s); err == nil || !strings.Contains(err.Error(), "block 0x2a") {
 			t.Errorf("%s: Restore err = %v, want one naming block 0x2a", c.name, err)
 		}
 	}
@@ -301,7 +302,7 @@ func TestRestoreRejectsBadHistory(t *testing.T) {
 	}
 	s := New(2, directory.New()).Snap()
 	s.Blocks = []BlockSnap{{Block: 0x2a, Owner: -1, HistN: 35, Hist: hist}}
-	c := New(2, directory.New())
+	c := restorable(2)
 	if err := c.Restore(s); err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +347,11 @@ func TestViolationsAscendByProcessor(t *testing.T) {
 func BenchmarkCheckerEvents(b *testing.B) {
 	const procs = 32
 	h := newHarness(procs)
-	// Blocks i and blocksPerPage+i share cache set i of the 2-way harness
+	// Blocks i and BlocksPerPage+i share cache set i of the 2-way harness
 	// caches, so the working set never evicts.
 	var blocks []uint64
 	for i := uint64(0); i < 16; i++ {
-		blocks = append(blocks, i, blocksPerPage+i)
+		blocks = append(blocks, i, pagearray.BlocksPerPage+i)
 	}
 	type op struct {
 		p     int
@@ -381,13 +382,34 @@ func BenchmarkCheckerEvents(b *testing.B) {
 	b.ReportMetric(float64(h.ck.Events())/float64(b.N), "events/op")
 }
 
+// restorable returns a checker sized, as the machine sizes one it
+// restores, to cover the pages the tests' snapshots name.
+func restorable(nprocs int) *Checker {
+	c := New(nprocs, directory.New())
+	c.GrowPages(4)
+	return c
+}
+
+// TestRestoreRejectsBlockBeyondPages: a snapshot block beyond the pages
+// the checker covers fails Restore, naming the block, instead of growing
+// the mirrors to reach it.
+func TestRestoreRejectsBlockBeyondPages(t *testing.T) {
+	for _, blk := range []uint64{4 * pagearray.BlocksPerPage, 1 << 60} {
+		s := New(2, directory.New()).Snap()
+		s.Blocks = []BlockSnap{{Block: blk, Owner: -1}}
+		if err := restorable(2).Restore(s); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %#x", blk)) {
+			t.Errorf("block %#x: Restore err = %v, want one naming the block", blk, err)
+		}
+	}
+}
+
 // TestRestoreRejectsOutOfRangeHolder checks a snapshot naming a holder
 // outside the machine fails Restore instead of corrupting the mirror.
 func TestRestoreRejectsOutOfRangeHolder(t *testing.T) {
 	for _, p := range []int{-1, 2, 1 << 16} {
 		s := New(2, directory.New()).Snap()
 		s.Blocks = []BlockSnap{{Block: 4, Owner: -1, Held: []LineSnap{{Proc: p, State: cache.Shared}}}}
-		if err := New(2, directory.New()).Restore(s); err == nil || !strings.Contains(err.Error(), "processor") {
+		if err := restorable(2).Restore(s); err == nil || !strings.Contains(err.Error(), "processor") {
 			t.Errorf("holder p%d: Restore err = %v", p, err)
 		}
 	}

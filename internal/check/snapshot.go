@@ -5,6 +5,7 @@ import (
 
 	"origin2000/internal/cache"
 	"origin2000/internal/directory"
+	"origin2000/internal/pagearray"
 	"origin2000/internal/sim"
 )
 
@@ -77,7 +78,9 @@ func (c *Checker) Snap() Snap {
 }
 
 // Restore overwrites the checker's state from a snapshot. The checker must
-// have been created for the same processor count.
+// have been created for the same processor count and sized (GrowPages) to
+// the machine's pages; a block beyond them is rejected rather than grown
+// into.
 func (c *Checker) Restore(s Snap) error {
 	if len(s.Clocks) != len(c.clocks) {
 		return fmt.Errorf("check: snapshot has %d processor clocks, checker has %d",
@@ -88,8 +91,13 @@ func (c *Checker) Restore(s Snap) error {
 	c.violations = s.Violations
 	c.dropped = s.Dropped
 	c.events = s.Events
-	c.pages, c.last = make(map[uint64]*mirrorPage), nil
+	c.mirrors.Reset()
+	pages := uint64(c.mirrors.Len())
 	for _, bs := range s.Blocks {
+		if page := bs.Block >> pagearray.PageBlockShift; page >= pages {
+			return fmt.Errorf("check: snapshot block %#x is on page %#x, beyond the machine's %d pages",
+				bs.Block, page, pages)
+		}
 		b := c.mirror(bs.Block)
 		*b = blockMirror{
 			seen:     true,

@@ -39,11 +39,21 @@ func (m *Machine) Alloc(name string, n, elemSize int) *Array {
 		pages:    pages,
 	}
 	m.nextAddr += uint64(pages) * mempolicy.PageBytes
+	if m.tracer != nil {
+		// Applications allocate before Run, so the heat index is sized
+		// while no processor runs (see trace.Tracer.GrowPages).
+		m.tracer.GrowPages(m.numPages())
+	}
 	if m.arrays != nil {
 		m.arrays.add(a.base, int64(n)*int64(elemSize), name)
 	}
 	return a
 }
+
+// numPages reports how many pages Alloc has handed out: simulated
+// addresses are bump-allocated from zero, so every page number in use is
+// below it.
+func (m *Machine) numPages() int { return int(m.nextAddr / mempolicy.PageBytes) }
 
 // Name returns the allocation's label.
 func (a *Array) Name() string { return a.name }

@@ -343,6 +343,7 @@ func (m *Machine) unmute(rs *snapshot.Snapshot) error {
 		for i, p := range m.procs {
 			ck.AttachCache(i, p.cache)
 		}
+		ck.GrowPages(m.numPages())
 		if err := ck.Restore(*rs.Checker); err != nil {
 			return err
 		}
@@ -355,6 +356,7 @@ func (m *Machine) unmute(rs *snapshot.Snapshot) error {
 			shardOf[i] = p.router
 		}
 		tr.SetShards(shardOf, m.numRouters)
+		tr.GrowPages(m.numPages())
 		if err := tr.Restore(*rs.Tracer); err != nil {
 			return err
 		}

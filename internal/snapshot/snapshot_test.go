@@ -199,6 +199,7 @@ func TestCheckerSnapRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := check.New(2, directory.New())
+			ck.GrowPages(2) // the snapshots name blocks on pages 0 and 1
 			if err := ck.Restore(tc.want); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}

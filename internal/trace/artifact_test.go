@@ -29,6 +29,7 @@ func TestCaptureArtifactWritesDecodableTrace(t *testing.T) {
 			t.Errorf("re-run options not lossless-enabled: %+v", o)
 		}
 		tr := New(2, o)
+		tr.GrowPages(2)
 		tr.Miss(0, 0, 500*sim.Nanosecond, 1<<7, 1, 3, 0, 2, EvMissRemoteClean)
 		// The scenario failing is the normal case; a non-nil tracer must
 		// still be written.

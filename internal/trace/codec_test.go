@@ -172,6 +172,7 @@ func TestBinaryDecodeRejectsCorrupt(t *testing.T) {
 
 func TestTracerAttributionTables(t *testing.T) {
 	tr := New(2, Options{Enabled: true})
+	tr.GrowPages(3)
 	// Page 1 takes the remote traffic; page 2 only local misses.
 	tr.Miss(0, 0, 500*sim.Nanosecond, 1<<7, 1, 3, 2, 4, EvMissRemoteDirty)
 	tr.Miss(0, 1, 400*sim.Nanosecond, 1<<7, 1, 3, 0, 2, EvMissRemoteClean)
@@ -219,12 +220,12 @@ func TestTracerAttributionTables(t *testing.T) {
 }
 
 func TestRankHeatDeterministicTieBreak(t *testing.T) {
-	m := map[uint64]*HeatStat{
-		5: {RemoteClean: 2, Stall: 10},
-		3: {RemoteClean: 2, Stall: 10},
-		9: {RemoteClean: 7},
+	in := []Heat{
+		{Key: 5, HeatStat: HeatStat{RemoteClean: 2, Stall: 10}},
+		{Key: 3, HeatStat: HeatStat{RemoteClean: 2, Stall: 10}},
+		{Key: 9, HeatStat: HeatStat{RemoteClean: 7}},
 	}
-	got := rankHeat(m)
+	got := rankHeat(in)
 	want := []uint64{9, 3, 5}
 	for i, h := range got {
 		if h.Key != want[i] {

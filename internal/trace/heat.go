@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"origin2000/internal/sim"
@@ -61,8 +63,8 @@ func (h *HeatStat) observe(kind Kind, stall sim.Time, invals, sharers int) {
 }
 
 // add folds o into h: counters and sums are additive, extrema take the
-// max. Used to merge per-shard heat buckets; every operation commutes, so
-// the merged result is independent of fold order.
+// max. Restore uses it to fold a snapshot's page entries into the index;
+// every operation commutes, so the result is independent of fold order.
 func (h *HeatStat) add(o *HeatStat) {
 	h.LocalMisses += o.LocalMisses
 	h.RemoteClean += o.RemoteClean
@@ -80,19 +82,119 @@ func (h *HeatStat) add(o *HeatStat) {
 	h.Stall += o.Stall
 }
 
+// recorded reports whether any event reached this page or block: a miss,
+// an upgrade, a received invalidation or a page move. Every entry the
+// index reports has recorded one.
+func (h *HeatStat) recorded() bool {
+	return h.Misses()+h.Upgrades > 0 || h.InvalsRecv > 0 || h.Migrations > 0
+}
+
+// blockHeat is one block's slot in the heat index: a HeatStat with 32-bit
+// counts, as in sharing's blockState (a single block absorbing 4 billion
+// events is beyond any tracked configuration). Three HeatStat fields are
+// not stored, because for a block they follow from the others: observe
+// counts an intervention exactly when it counts a remote-dirty miss and a
+// sample exactly when it counts one of the four miss classes, and only
+// PageRemapped, which touches pages alone, counts migrations. Stall and
+// the sharer sum stay 64-bit. The record is 48 bytes.
+type blockHeat struct {
+	localMisses, remoteClean, remoteDirty, upgrades uint32
+	invalsSent, invalsRecv                          uint32
+	maxSharers                                      int32
+	sharerSum                                       int64
+	stall                                           sim.Time
+}
+
+func (b *blockHeat) observe(kind Kind, stall sim.Time, invals, sharers int) {
+	switch kind {
+	case EvMissLocal:
+		b.localMisses++
+	case EvMissRemoteClean:
+		b.remoteClean++
+	case EvMissRemoteDirty:
+		b.remoteDirty++
+	case EvUpgrade:
+		b.upgrades++
+	}
+	b.invalsSent += uint32(invals)
+	b.stall += stall
+	if int32(sharers) > b.maxSharers {
+		b.maxSharers = int32(sharers)
+	}
+	b.sharerSum += int64(sharers)
+}
+
+// stat expands the slot into the report type.
+func (b *blockHeat) stat() HeatStat {
+	h := HeatStat{
+		LocalMisses: int64(b.localMisses),
+		RemoteClean: int64(b.remoteClean),
+		RemoteDirty: int64(b.remoteDirty),
+		Upgrades:    int64(b.upgrades),
+		InvalsSent:  int64(b.invalsSent),
+		InvalsRecv:  int64(b.invalsRecv),
+		MaxSharers:  b.maxSharers,
+		SharerSum:   b.sharerSum,
+		Stall:       b.stall,
+	}
+	h.Interventions = h.RemoteDirty
+	h.Samples = h.Misses() + h.Upgrades
+	return h
+}
+
+// fold adds a restored block entry to the slot. It rejects, naming the
+// field, an entry live recording cannot leave: one whose derived fields
+// disagree with the counts they follow from, whose counts do not fit 32
+// bits once folded, or which records no event at all.
+func (b *blockHeat) fold(h *HeatStat) error {
+	switch {
+	case h.Interventions != h.RemoteDirty:
+		return fmt.Errorf("Interventions %d is not RemoteDirty %d", h.Interventions, h.RemoteDirty)
+	case h.Samples != h.Misses()+h.Upgrades:
+		return fmt.Errorf("Samples %d is not the %d misses and upgrades", h.Samples, h.Misses()+h.Upgrades)
+	case h.Migrations != 0:
+		return fmt.Errorf("Migrations %d on a block", h.Migrations)
+	case !h.recorded():
+		return errors.New("entry records no miss, upgrade or invalidation")
+	}
+	counts := [...]struct {
+		name string
+		dst  *uint32
+		v    int64
+	}{
+		{"LocalMisses", &b.localMisses, h.LocalMisses},
+		{"RemoteClean", &b.remoteClean, h.RemoteClean},
+		{"RemoteDirty", &b.remoteDirty, h.RemoteDirty},
+		{"Upgrades", &b.upgrades, h.Upgrades},
+		{"InvalsSent", &b.invalsSent, h.InvalsSent},
+		{"InvalsRecv", &b.invalsRecv, h.InvalsRecv},
+	}
+	for _, c := range counts {
+		if c.v < 0 || int64(*c.dst)+c.v > math.MaxUint32 {
+			return fmt.Errorf("%s %d does not fit 32 bits", c.name, int64(*c.dst)+c.v)
+		}
+	}
+	for _, c := range counts {
+		*c.dst += uint32(c.v)
+	}
+	if h.MaxSharers > b.maxSharers {
+		b.maxSharers = h.MaxSharers
+	}
+	b.sharerSum += h.SharerSum
+	b.stall += h.Stall
+	return nil
+}
+
 // Heat is one ranked heatmap entry: a page or block number plus its stats.
 type Heat struct {
 	Key uint64
 	HeatStat
 }
 
-// rankHeat orders entries by remote misses, then total stall, then key —
-// the paper's diagnostic order (remote traffic is what kills scaling).
-func rankHeat(m map[uint64]*HeatStat) []Heat {
-	out := make([]Heat, 0, len(m))
-	for k, h := range m {
-		out = append(out, Heat{Key: k, HeatStat: *h})
-	}
+// rankHeat sorts entries in place by remote misses, then total stall,
+// then key — the paper's diagnostic order (remote traffic is what kills
+// scaling) — and returns them.
+func rankHeat(out []Heat) []Heat {
 	sort.Slice(out, func(i, j int) bool {
 		ri, rj := out[i].RemoteMisses(), out[j].RemoteMisses()
 		if ri != rj {

@@ -95,6 +95,7 @@ func TestRingLosslessSpillKeepsEverything(t *testing.T) {
 
 func TestTracerEventAccounting(t *testing.T) {
 	tr := New(2, Options{Enabled: true, RingSize: 4})
+	tr.GrowPages(1)
 	for i := 0; i < 10; i++ {
 		tr.Miss(i%2, sim.Time(i), sim.Nanosecond, 1, 0, 0, 0, 1, EvMissLocal)
 	}

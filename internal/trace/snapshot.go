@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"origin2000/internal/pagearray"
 	"origin2000/internal/sim"
 )
 
@@ -60,8 +61,11 @@ type HeatEntry struct {
 	Stat HeatStat `json:"stat"`
 }
 
-// BucketSnap is one shard's serialized attribution state. Heat maps are
-// dumped in ascending key order.
+// BucketSnap is one shard's serialized attribution state: its histograms
+// and heat entries in ascending key order. Snap writes the whole heat
+// index into the first bucket; Restore folds every bucket's heat, so a
+// snapshot that splits heat across shards, as the per-shard heat maps of
+// earlier versions did, restores to the same reports.
 type BucketSnap struct {
 	Pages  []HeatEntry               `json:"pages,omitempty"`
 	Blocks []HeatEntry               `json:"blocks,omitempty"`
@@ -69,15 +73,11 @@ type BucketSnap struct {
 	Queue  [NumQueueClasses]HistSnap `json:"queue"`
 }
 
-func heatEntries(m map[uint64]*HeatStat) []HeatEntry {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]HeatEntry, 0, len(m))
-	for k, h := range m {
-		out = append(out, HeatEntry{Key: k, Stat: *h})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+// heatEntries returns eachHeat's entries in ascending key order, nil when
+// there are none.
+func (t *Tracer) heatEntries(blocks bool) []HeatEntry {
+	var out []HeatEntry
+	t.eachHeat(blocks, func(k uint64, h *HeatStat) { out = append(out, HeatEntry{Key: k, Stat: *h}) })
 	return out
 }
 
@@ -87,9 +87,9 @@ type LabelCount struct {
 	Count int    `json:"count"`
 }
 
-// Snap is the tracer's full serializable state. Buckets are captured (and
-// restored) per shard, not merged, so a resumed run keeps recording into
-// the same shard-confined structures and every merged report stays
+// Snap is the tracer's full serializable state. Histograms are captured
+// (and restored) per shard, not merged, so a resumed run keeps recording
+// into the same shard-confined structures and every merged report stays
 // byte-identical to an uninterrupted run's.
 type Snap struct {
 	Rings   []RingSnap   `json:"rings"`
@@ -119,7 +119,10 @@ func (t *Tracer) Snap() Snap {
 	}
 	for i := range t.buckets {
 		b := &t.buckets[i]
-		bs := BucketSnap{Pages: heatEntries(b.pages), Blocks: heatEntries(b.blocks)}
+		var bs BucketSnap
+		if i == 0 {
+			bs.Pages, bs.Blocks = t.heatEntries(false), t.heatEntries(true)
+		}
 		for c := range b.lat {
 			bs.Lat[c] = b.lat[c].snap()
 		}
@@ -147,8 +150,9 @@ func (t *Tracer) Snap() Snap {
 
 // Restore overwrites the tracer's state from a snapshot. The tracer must
 // have been created with the same Options, processor count, and shard map
-// as the one that produced the snapshot (the machine rebuilds all three
-// from the run's configuration before restoring).
+// as the one that produced the snapshot, and its heat index sized to the
+// machine's pages (the machine rebuilds all of them from the run's
+// configuration before restoring).
 func (t *Tracer) Restore(s Snap) error {
 	if len(s.Rings) != len(t.rings) {
 		return fmt.Errorf("trace: snapshot has %d rings, tracer has %d", len(s.Rings), len(t.rings))
@@ -174,18 +178,12 @@ func (t *Tracer) Restore(s Snap) error {
 			r.buf[(rs.N-k+uint64(off))&r.mask] = ev
 		}
 	}
+	t.heat.Reset()
 	for i := range t.buckets {
 		b := &t.buckets[i]
 		bs := s.Buckets[i]
-		b.pages = make(map[uint64]*HeatStat, len(bs.Pages))
-		for _, e := range bs.Pages {
-			h := e.Stat
-			b.pages[e.Key] = &h
-		}
-		b.blocks = make(map[uint64]*HeatStat, len(bs.Blocks))
-		for _, e := range bs.Blocks {
-			h := e.Stat
-			b.blocks[e.Key] = &h
+		if err := t.restoreHeat(bs); err != nil {
+			return err
 		}
 		for c := range b.lat {
 			if err := b.lat[c].restore(bs.Lat[c]); err != nil {
@@ -208,5 +206,32 @@ func (t *Tracer) Restore(s Snap) error {
 		t.syncN[lc.Label] = lc.Count
 	}
 	t.epochs = s.Epochs
+	return nil
+}
+
+// restoreHeat folds one bucket's heat entries into the index. It rejects
+// an entry outside the sized pages and, through blockHeat.fold, a block
+// entry live recording cannot leave; a page entry must record an event,
+// like every page the index reports.
+func (t *Tracer) restoreHeat(bs BucketSnap) error {
+	pages := uint64(t.heat.Len())
+	for _, e := range bs.Pages {
+		if e.Key >= pages {
+			return fmt.Errorf("trace: snapshot page %#x is beyond the machine's %d pages", e.Key, pages)
+		}
+		if !e.Stat.recorded() {
+			return fmt.Errorf("trace: snapshot page %#x heat records no miss, upgrade, invalidation or move", e.Key)
+		}
+		t.heat.Page(e.Key).Head.add(&e.Stat)
+	}
+	for _, e := range bs.Blocks {
+		page := e.Key >> pagearray.PageBlockShift
+		if page >= pages {
+			return fmt.Errorf("trace: snapshot block %#x is on page %#x, beyond the machine's %d pages", e.Key, page, pages)
+		}
+		if err := t.heat.Block(e.Key).fold(&e.Stat); err != nil {
+			return fmt.Errorf("trace: snapshot block %#x heat: %w", e.Key, err)
+		}
+	}
 	return nil
 }

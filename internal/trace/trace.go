@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"origin2000/internal/memclass"
+	"origin2000/internal/pagearray"
 	"origin2000/internal/sim"
 )
 
@@ -101,19 +102,21 @@ func missLatClass(k Kind) LatClass {
 
 // Tracer records and aggregates one machine's event stream.
 //
-// Recording is lock-free by shard confinement: under the windowed engine,
-// phase-1 events only ever involve processors and resources of the acting
+// Recording is lock-free by ownership: under the windowed engine, phase-1
+// events only ever involve processors and resources of the acting
 // processor's shard, and commit-phase events run serialized, so every
 // mutable structure is either per-processor (the rings), per-shard (the
-// heat maps and histograms, see traceBucket), or commit-only (sync stats
-// and epoch marks). Readers merge the per-shard buckets in fixed shard
-// order, so merged output is bit-identical at any host worker count.
+// histograms, see traceBucket), owned by a page's home shard (the heat
+// index, see heatIndex), or commit-only (sync stats and epoch marks).
+// Readers merge the per-shard histograms in fixed shard order, so merged
+// output is bit-identical at any host worker count.
 type Tracer struct {
 	opts  Options
 	rings []ring
 
 	shardOf []int         // processor -> bucket index (all zero until SetShards)
-	buckets []traceBucket // per-shard attribution state
+	buckets []traceBucket // per-shard histograms
+	heat    heatIndex     // per-page and per-block heat
 
 	syncs map[uint64]*SyncStat
 	syncN map[string]int
@@ -121,29 +124,33 @@ type Tracer struct {
 	epochs []sim.Time
 }
 
-// traceBucket is the attribution state one shard mutates during the
+// traceBucket is the histogram state one shard mutates during the
 // engine's parallel phase. Bucket contents are a pure function of the
-// (deterministic) schedule, and every field merges commutatively — sums,
-// or max for extrema — so the merged view does not depend on how work was
-// spread over host workers.
+// (deterministic) schedule, and histograms merge commutatively, so the
+// merged view does not depend on how work was spread over host workers.
 type traceBucket struct {
-	pages  map[uint64]*HeatStat
-	blocks map[uint64]*HeatStat
-	lat    [NumLatClasses]Histogram
-	queue  [NumQueueClasses]Histogram
+	lat   [NumLatClasses]Histogram
+	queue [NumQueueClasses]Histogram
 }
 
-func newTraceBuckets(n int) []traceBucket {
-	if n < 1 {
-		n = 1
-	}
-	b := make([]traceBucket, n)
-	for i := range b {
-		b[i].pages = make(map[uint64]*HeatStat)
-		b[i].blocks = make(map[uint64]*HeatStat)
-	}
-	return b
-}
+func newTraceBuckets(n int) []traceBucket { return make([]traceBucket, max(n, 1)) }
+
+// heatIndex is the page and block heat, indexed directly by page number:
+// each touched page holds its full HeatStat and one compact blockHeat per
+// block.
+//
+// It is one index for the whole machine, not one per shard, and stays
+// race-free by ownership. In phase 1 the machine runs a transaction in a
+// shard only when the page's home and every sharer or owner it reaches are
+// on that shard's router, so Miss and InvalRecv touch page P only from the
+// shard that homes P; pages move (PageRemapped) only in the serialized
+// commit phase. Two shards therefore never write one page's record. The
+// slice header never changes during a run: GrowPages sizes it while no
+// processor runs, and an event naming a page beyond it panics.
+type heatIndex = pagearray.Array[HeatStat, blockHeat]
+
+// heatPage is one page's record in the heat index.
+type heatPage = pagearray.Page[HeatStat, blockHeat]
 
 // New creates a tracer for procs processors (one shard until SetShards).
 func New(procs int, o Options) *Tracer {
@@ -172,6 +179,11 @@ func (t *Tracer) SetShards(shardOf []int, numShards int) {
 	t.buckets = newTraceBuckets(numShards)
 }
 
+// GrowPages extends the heat index to cover pages [0, n). The machine
+// calls it from Alloc, and when it rebuilds the tracer at a resume point,
+// both while no processor runs; recording never grows the index.
+func (t *Tracer) GrowPages(n int) { t.heat.Grow(n) }
+
 // NumShards reports the attribution bucket count.
 func (t *Tracer) NumShards() int { return len(t.buckets) }
 
@@ -180,24 +192,6 @@ func (t *Tracer) Procs() int { return len(t.rings) }
 
 // Options returns the tracer's configuration.
 func (t *Tracer) Options() Options { return t.opts }
-
-func (b *traceBucket) pageHeat(page uint64) *HeatStat {
-	h := b.pages[page]
-	if h == nil {
-		h = &HeatStat{}
-		b.pages[page] = h
-	}
-	return h
-}
-
-func (b *traceBucket) blockHeat(block uint64) *HeatStat {
-	h := b.blocks[block]
-	if h == nil {
-		h = &HeatStat{}
-		b.blocks[block] = h
-	}
-	return h
-}
 
 // bucket returns the attribution bucket of the processor acting in an
 // event. During phase 1 the actor is always in the recording shard; during
@@ -208,22 +202,22 @@ func (t *Tracer) bucket(proc int) *traceBucket { return &t.buckets[t.shardOf[pro
 // Miss records one demand miss or upgrade: kind must be EvMissLocal,
 // EvMissRemoteClean, EvMissRemoteDirty or EvUpgrade. now is the issue time,
 // lat the stall, invals the invalidations the transaction sent, and sharers
-// the post-transition sharer-set width of the block.
+// the post-transition sharer-set width of the block, which lies on page.
 func (t *Tracer) Miss(proc int, now, lat sim.Time, block, page uint64, home, invals, sharers int, kind Kind) {
 	t.rings[proc].record(Event{Time: now, Dur: lat, Addr: block, Arg: int32(invals), Node: int16(home), Kind: kind})
-	b := t.bucket(proc)
-	b.pageHeat(page).observe(kind, lat, invals, sharers)
-	b.blockHeat(block).observe(kind, lat, invals, sharers)
-	b.lat[missLatClass(kind)].Record(lat)
+	pg := t.heat.Page(page)
+	pg.Head.observe(kind, lat, invals, sharers)
+	pg.Block(block).observe(kind, lat, invals, sharers)
+	t.bucket(proc).lat[missLatClass(kind)].Record(lat)
 }
 
-// InvalRecv records that victim's cached copy of block was invalidated by
-// requester's write.
+// InvalRecv records that victim's cached copy of block, which lies on
+// page, was invalidated by requester's write.
 func (t *Tracer) InvalRecv(victim int, now sim.Time, block, page uint64, requester int) {
 	t.rings[victim].record(Event{Time: now, Addr: block, Node: int16(requester), Kind: EvInvalRecv})
-	b := t.bucket(victim)
-	b.pageHeat(page).InvalsRecv++
-	b.blockHeat(block).InvalsRecv++
+	pg := t.heat.Page(page)
+	pg.Head.InvalsRecv++
+	pg.Block(block).invalsRecv++
 }
 
 // Intervention records that owner received a forwarded intervention for
@@ -263,9 +257,9 @@ func (t *Tracer) Migration(proc int, now sim.Time, page uint64, from, to int) {
 // PageRemapped observes every page move — dynamic migration and overriding
 // manual placement — via the page table's OnRemap hook. Page moves always
 // run in the serialized commit phase (migration follows a cross-classified
-// remote miss), so bucket 0 is race-free for them.
+// remote miss), so no shard owns the page's record meanwhile.
 func (t *Tracer) PageRemapped(page uint64, from, to int) {
-	t.buckets[0].pageHeat(page).Migrations++
+	t.heat.Page(page).Head.Migrations++
 }
 
 // QueueDelay records a transaction queueing for delay behind earlier
@@ -373,44 +367,43 @@ func (t *Tracer) EventsDropped() int64 {
 	return n
 }
 
-// mergedHeat folds one heat map kind across the shard buckets, in shard
-// order (the fold is commutative, so the order only matters for clarity).
-func (t *Tracer) mergedHeat(sel func(*traceBucket) map[uint64]*HeatStat) map[uint64]*HeatStat {
-	if len(t.buckets) == 1 {
-		return sel(&t.buckets[0])
-	}
-	out := make(map[uint64]*HeatStat)
-	for i := range t.buckets {
-		for k, h := range sel(&t.buckets[i]) {
-			m := out[k]
-			if m == nil {
-				m = &HeatStat{}
-				out[k] = m
+// eachHeat calls fn with every recorded page's heat (blocks false) or
+// every recorded block's (blocks true), in ascending key order.
+func (t *Tracer) eachHeat(blocks bool, fn func(key uint64, h *HeatStat)) {
+	t.heat.ForEach(func(page uint64, pg *heatPage) {
+		if !blocks {
+			if pg.Head.recorded() {
+				fn(page, &pg.Head)
 			}
-			m.add(h)
+			return
 		}
+		for i := range pg.Blocks {
+			if h := pg.Blocks[i].stat(); h.recorded() {
+				fn(pagearray.BlockOf(page, i), &h)
+			}
+		}
+	})
+}
+
+// topHeat ranks eachHeat's entries and keeps the first n (all when n <= 0).
+func (t *Tracer) topHeat(blocks bool, n int) []Heat {
+	count := 0
+	t.eachHeat(blocks, func(uint64, *HeatStat) { count++ })
+	out := make([]Heat, 0, count)
+	t.eachHeat(blocks, func(k uint64, h *HeatStat) { out = append(out, Heat{Key: k, HeatStat: *h}) })
+	out = rankHeat(out)
+	if n > 0 && len(out) > n {
+		out = out[:n]
 	}
 	return out
 }
 
 // TopPages returns the per-page heatmap ranked by remote misses, then
 // stall. n <= 0 returns every page.
-func (t *Tracer) TopPages(n int) []Heat {
-	out := rankHeat(t.mergedHeat(func(b *traceBucket) map[uint64]*HeatStat { return b.pages }))
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
+func (t *Tracer) TopPages(n int) []Heat { return t.topHeat(false, n) }
 
 // TopBlocks returns the per-block heatmap ranked like TopPages.
-func (t *Tracer) TopBlocks(n int) []Heat {
-	out := rankHeat(t.mergedHeat(func(b *traceBucket) map[uint64]*HeatStat { return b.blocks }))
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
+func (t *Tracer) TopBlocks(n int) []Heat { return t.topHeat(true, n) }
 
 // RemoteMissShare reports the fraction of all recorded remote misses that
 // the top-n ranked pages account for (1.0 when there are none) — the
