@@ -57,7 +57,7 @@ func main() {
 		mapping   = flag.String("mapping", "linear", "process mapping: linear, random, gray, split")
 		traceOut  = flag.String("trace", "", "trace every event of the run, write Perfetto JSON here and print the attribution tables")
 		hostprofF = flag.String("hostprof", "", "profile the engine's host time and write a Perfetto timeline here (parallel engine; schedule-neutral)")
-		engine    = flag.String("engine", "serial", "execution engine: serial, or parallel (bit-identical, faster wall clock)")
+		engine    = flag.String("engine", "serial", "execution engine: serial, or parallel (bit-identical; measured slower than serial)")
 		workers   = flag.Int("workers", 0, "host workers for -engine=parallel (0 = GOMAXPROCS)")
 		ckptEvery = flag.String("checkpoint-every", "", "capture an originckpt snapshot every virtual duration (e.g. 1ms, 100us)")
 		ckptDir   = flag.String("checkpoint-dir", "checkpoints", "directory for -checkpoint-every snapshot files")

@@ -248,7 +248,7 @@ func (p *Proc) demandMiss(block, addr uint64, write bool, kind sim.StatKind) {
 	m := p.m
 	c := &p.sp.Counters
 	page := mempolicy.PageOf(addr)
-	home := p.homeOf(page)
+	home := m.homeOf(page, p.node)
 	remote := home != p.node
 
 	invalsBefore := c.Invalidations
@@ -308,7 +308,7 @@ func (p *Proc) demandMiss(block, addr uint64, write bool, kind sim.StatKind) {
 
 	if remote {
 		p.recordMigration(page, home, complete, kind)
-	} else if m.migrator != nil && m.pages.Migration() {
+	} else if m.migrator != nil {
 		c.MigratedAccesses++ // local thanks to earlier placement/migration
 	}
 	p.sp.Advance(latency, kind)
@@ -320,7 +320,7 @@ func (p *Proc) demandMiss(block, addr uint64, write bool, kind sim.StatKind) {
 func (p *Proc) upgrade(block, addr uint64, kind sim.StatKind) {
 	c := &p.sp.Counters
 	page := mempolicy.PageOf(addr)
-	home := p.homeOf(page)
+	home := p.m.homeOf(page, p.node)
 
 	invalsBefore := c.Invalidations
 	complete, _, queued := p.transaction(block, home, true)
@@ -354,7 +354,7 @@ func (p *Proc) upgrade(block, addr uint64, kind sim.StatKind) {
 func (p *Proc) evictVictim(v cache.Victim, at sim.Time) {
 	m := p.m
 	vpage := v.Block >> (mempolicy.PageShift - blockShift)
-	vhome := p.homeOf(vpage)
+	vhome := m.homeOf(vpage, p.node)
 	if v.State == cache.Modified {
 		lat := &m.cfg.Lat
 		m.hubs[p.node].Acquire(at, lat.WritebackOcc)
@@ -418,7 +418,7 @@ func (p *Proc) fetchOp(addr uint64, kind sim.StatKind) {
 		p.sp.AwaitGlobal()
 		defer p.sp.EndGlobal()
 	}
-	home := p.homeOf(page)
+	home := m.homeOf(page, p.node)
 	t := p.sp.Now() + lat.ProcOverhead
 	var queued sim.Time
 	acq := func(r *sim.Resource, occ sim.Time, qc trace.QueueClass, unit int) {
@@ -495,7 +495,7 @@ func (p *Proc) Prefetch(addr uint64) {
 		p.sp.AwaitGlobal()
 		defer p.sp.EndGlobal()
 	}
-	home := p.homeOf(page)
+	home := m.homeOf(page, p.node)
 	complete, _, _ := p.transaction(block, home, false)
 	if victim, evicted := p.cache.Fill(block, cache.Shared); evicted {
 		p.evictVictim(victim, complete)

@@ -88,9 +88,7 @@ func (a *Array) place(pg, node int) {
 	if m.pages.Placed(page) {
 		return // first placement wins (arrays never share pages)
 	}
-	h := m.spill(node)
-	m.pages.SetHome(page, h)
-	m.nodePages[h]++
+	m.place(page, node)
 }
 
 // PlaceAtNode homes the whole array at one node.

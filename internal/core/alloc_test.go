@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"origin2000/internal/core"
@@ -51,6 +53,20 @@ func TestAddrPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	arr.Addr(10)
+}
+
+// TestAccessBeyondAllocationPanics: page state is indexed by page number,
+// so touching a page Alloc never handed out panics naming the page instead
+// of growing the page-indexed arrays to reach it.
+func TestAccessBeyondAllocationPanics(t *testing.T) {
+	m := core.New(core.Origin2000(2))
+	arr := m.Alloc("a", 10, 8)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "page 0x40000 is beyond the 1 pages allocated") {
+			t.Errorf("panic = %v, want one naming page 0x40000", r)
+		}
+	}()
+	_ = m.RunOne(func(p *core.Proc) { p.Read(arr.Base() + 1<<32) })
 }
 
 func TestIgnorePlacementDisablesManual(t *testing.T) {

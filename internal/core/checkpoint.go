@@ -184,8 +184,8 @@ func (m *Machine) onQuiescent(seq int64, minNow sim.Time, quiet bool) {
 
 // capture serializes the machine at a quiescent point. Everything that can
 // influence the rest of the run — or that an observer has accumulated — is
-// included; host-side memos with no observable effect (the per-processor
-// home TLB, the diagnostic array index) are deliberately not.
+// included; host-side state with no observable effect (the diagnostic
+// array index) is deliberately not.
 func (m *Machine) capture(seq int64, minNow sim.Time) *snapshot.Snapshot {
 	workers, forced := EffectiveWorkers(&m.cfg)
 	s := &snapshot.Snapshot{

@@ -61,10 +61,6 @@ type Machine struct {
 	maxNodePg int         // 0 = unbounded
 	arrays    *arrayIndex // per-allocation attribution (nil = off)
 
-	// placeFn is the first-touch placement hook passed to Table.Resolve,
-	// built once so the hot path never allocates a closure.
-	placeFn func(choice int) int
-
 	ckpt      *ckptState    // nil unless Config.Checkpoint is armed
 	syncSnaps []syncSnapReg // registered sync-primitive state providers
 }
@@ -123,7 +119,6 @@ func New(cfg Config) *Machine {
 			m.maxNodePg = 1
 		}
 	}
-	m.placeFn = m.spill
 	m.mapping = cfg.Mapping
 	if m.mapping == nil {
 		m.mapping = topology.Linear(cfg.Procs)
@@ -375,13 +370,26 @@ func (m *Machine) spill(desired int) int {
 	return desired // machine totally full: overload rather than fail
 }
 
-// homeOf resolves (and if needed assigns) the home node of a page with a
-// single page-table lookup.
+// homeOf resolves the home node of a page, placing it by the default
+// policy on its first touch (from touchNode).
 func (m *Machine) homeOf(page uint64, touchNode int) int {
-	h, fresh := m.pages.Resolve(page, touchNode, m.placeFn)
-	if fresh {
-		m.nodePages[h]++
+	if h, ok := m.pages.Lookup(page); ok {
+		return h
 	}
+	return m.place(page, m.pages.Choose(page, touchNode))
+}
+
+// place homes an unplaced page at node, or at the next node with capacity
+// when node is full, and returns the home. Page state is indexed by page
+// number, so a page Alloc never handed out is a caller bug: place panics
+// naming it rather than grow every page-indexed array to reach it.
+func (m *Machine) place(page uint64, node int) int {
+	if n := m.numPages(); page >= uint64(n) {
+		panic(fmt.Sprintf("core: page %#x is beyond the %d pages allocated", page, n))
+	}
+	h := m.spill(node)
+	m.pages.SetHome(page, h)
+	m.nodePages[h]++
 	return h
 }
 

@@ -5,19 +5,6 @@ import (
 	"origin2000/internal/sim"
 )
 
-// homeTLBSize is the number of entries in the per-processor page->home
-// memo (direct-mapped, power of two).
-const homeTLBSize = 64
-
-// homeTLBEntry caches one page->home translation; it is valid while its
-// generation matches the page table's (migration and manual re-placement
-// bump the generation, invalidating every cached translation at once).
-type homeTLBEntry struct {
-	page uint64
-	home int32
-	gen  uint32
-}
-
 // Proc is the application-facing view of one logical processor. Programs
 // perform real Go computation and call these methods to charge virtual
 // time: Compute for busy work, Read/Write for shared-memory references
@@ -34,40 +21,7 @@ type Proc struct {
 	prefetchQ []uint64            // FIFO of outstanding prefetches
 	phase     phaseState          // active phase label for attribution
 
-	homeTLB [homeTLBSize]homeTLBEntry // page->home fast path
-
 	wakeScratch []*sim.Proc // reused by WakeAllAt
-}
-
-// homeOf resolves a page's home node, consulting the processor's TLB memo
-// before the machine-wide page table: a repeat miss to the same page skips
-// the table entirely.
-func (p *Proc) homeOf(page uint64) int {
-	e := &p.homeTLB[page&(homeTLBSize-1)]
-	gen := p.m.pages.Gen()
-	if e.page == page && e.gen == gen {
-		return int(e.home)
-	}
-	h := p.m.homeOf(page, p.node)
-	*e = homeTLBEntry{page: page, home: int32(h), gen: gen}
-	return h
-}
-
-// peekHome resolves a page's home node without placing it: a TLB hit (or a
-// table hit, which refills the TLB) reports the placed home; an unplaced
-// page reports ok=false. The shard classifier uses it on every miss, so the
-// common repeat-page case must stay off the shared table.
-func (p *Proc) peekHome(page uint64) (int, bool) {
-	e := &p.homeTLB[page&(homeTLBSize-1)]
-	gen := p.m.pages.Gen()
-	if e.page == page && e.gen == gen {
-		return int(e.home), true
-	}
-	h, ok := p.m.pages.Lookup(page)
-	if ok {
-		*e = homeTLBEntry{page: page, home: int32(h), gen: gen}
-	}
-	return h, ok
 }
 
 // ID returns the logical process id in [0, NumProcs).

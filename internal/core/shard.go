@@ -57,7 +57,7 @@ func (m *Machine) setupShards() {
 // memories and routers[p.router].
 func (p *Proc) shardLocal(block, page uint64, write, upgrade bool) bool {
 	m := p.m
-	home, ok := p.peekHome(page)
+	home, ok := m.pages.Lookup(page)
 	if !ok {
 		return false
 	}
@@ -117,14 +117,14 @@ func (p *Proc) victimInShard(block uint64) bool {
 		return true
 	}
 	vpage := v.Block >> (mempolicy.PageShift - blockShift)
-	vhome, ok := p.peekHome(vpage)
+	vhome, ok := p.m.pages.Lookup(vpage)
 	return ok && p.m.routerOfNode(vhome) == p.router
 }
 
 // fetchOpInShard reports whether an at-memory fetch&op on page stays inside
 // p's shard (it touches only the route to the home memory).
 func (p *Proc) fetchOpInShard(page uint64) bool {
-	home, ok := p.peekHome(page)
+	home, ok := p.m.pages.Lookup(page)
 	return ok && p.m.routerOfNode(home) == p.router
 }
 

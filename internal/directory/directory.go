@@ -12,7 +12,8 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+
+	"origin2000/internal/pagearray"
 )
 
 // MaxProcs is the largest processor count a sharer set can track.
@@ -85,29 +86,23 @@ type Entry struct {
 	Owner   int16 // valid when State == Exclusive
 }
 
-// Directory storage is two-level and page-dense: blocks are grouped by the
-// 16 KB page they live on (128-byte blocks, so exactly 128 entries per
-// page), and each touched page owns a flat array of entries. The common
-// streaming case — consecutive blocks of one page — hits the last-page memo
-// and performs zero map hashes, and transitions mutate entries in place
-// instead of the load/copy-back a map[uint64]Entry forces.
-const (
-	// pageBlockShift converts a block number to its page index
-	// (16 KB page / 128 B block).
-	pageBlockShift = 7
-	// blocksPerPage is the number of directory entries per page.
-	blocksPerPage = 1 << pageBlockShift
-)
+// Directory storage is a page array (internal/pagearray), the layout the
+// checker's mirrors and the tracer's heat index share: blocks are grouped
+// by the 16 KB page they live on (128-byte blocks, so exactly 128 entries
+// per page), each touched page owns a flat array of entries, and pages are
+// indexed directly by page number, because the machine bump-allocates
+// memory from address zero. A transition is a bounds check and two loads,
+// and it mutates its entry in place.
+type dirPage = pagearray.Page[struct{}, Entry]
 
-type dirPage [blocksPerPage]Entry
-
-// Directory tracks every block homed at one node. The zero value is not
-// usable; call New.
+// Directory tracks every block homed at one node. The zero value is an
+// empty directory with the precise full-bit-vector format, as New returns.
 type Directory struct {
-	pages   map[uint64]*dirPage
-	lastKey uint64   // page index of last
-	last    *dirPage // memo of the most recently touched page
-	scratch []int    // reused invalidation list (see Write)
+	// pages grows on first touch. The machine touches a node's directory
+	// only from its home router's shard or in the serialized commit phase
+	// (DESIGN.md §11), so growing it needs no lock.
+	pages   pagearray.Array[struct{}, Entry]
+	scratch []int // reused invalidation list (see Write)
 
 	// format computes the extra (non-sharer) fan-out of an invalidating
 	// write under an imprecise sharer representation; nil means the
@@ -134,9 +129,7 @@ type Directory struct {
 
 // New creates an empty directory using the precise full-bit-vector
 // sharer representation.
-func New() *Directory {
-	return &Directory{pages: make(map[uint64]*dirPage)}
-}
+func New() *Directory { return &Directory{} }
 
 // NewWithFormat creates an empty directory whose invalidating writes fan
 // out under the given sharer-representation format, on a machine of
@@ -165,34 +158,22 @@ func (d *Directory) Format() Format {
 }
 
 // entry returns a mutable pointer to block's record, materializing its page
-// on first touch.
+// on first touch. A touched page takes peek's inlined path.
 func (d *Directory) entry(block uint64) *Entry {
-	key := block >> pageBlockShift
-	pg := d.last
-	if pg == nil || key != d.lastKey {
-		pg = d.pages[key]
-		if pg == nil {
-			pg = new(dirPage)
-			d.pages[key] = pg
-		}
-		d.lastKey, d.last = key, pg
+	if e := d.peek(block); e != nil {
+		return e
 	}
-	return &pg[block&(blocksPerPage-1)]
+	d.pages.Grow(int(block>>pagearray.PageBlockShift) + 1)
+	return d.pages.Block(block)
 }
 
 // peek returns a pointer to block's record, or nil if its page was never
 // touched. It never allocates.
 func (d *Directory) peek(block uint64) *Entry {
-	key := block >> pageBlockShift
-	pg := d.last
-	if pg == nil || key != d.lastKey {
-		pg = d.pages[key]
-		if pg == nil {
-			return nil
-		}
-		d.lastKey, d.last = key, pg
+	if pg := d.pages.Peek(block >> pagearray.PageBlockShift); pg != nil {
+		return pg.Block(block)
 	}
-	return &pg[block&(blocksPerPage-1)]
+	return nil
 }
 
 // Entry returns the record for block (Unowned if never touched).
@@ -201,20 +182,6 @@ func (d *Directory) Entry(block uint64) Entry {
 		return *e
 	}
 	return Entry{}
-}
-
-// Blocks reports the number of blocks with active (non-Unowned) directory
-// state.
-func (d *Directory) Blocks() int {
-	n := 0
-	for _, pg := range d.pages {
-		for i := range pg {
-			if pg[i].State != Unowned {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // SharerWidth reports how many caches currently hold block: the sharer-set
@@ -365,53 +332,39 @@ func (d *Directory) Evict(block uint64, proc int) {
 	}
 }
 
-// MovePage transfers the directory records of every block on the 16 KB
-// page (page = block >> 7, which equals the machine's memory page number)
-// from d to dst, preserving both directories' incremental state counts.
-// The machine calls it when page migration rehomes a page, so that each
-// node's directory stays authoritative for exactly the blocks it homes.
+// MovePage hands the record of the 16 KB page (page = block >> 7, which
+// equals the machine's memory page number) from d to dst, together with
+// its blocks' share of the incremental state counts. The machine calls it
+// when page migration rehomes a page, so that each node's directory stays
+// authoritative for exactly the blocks it homes. A page has one home at a
+// time, so dst holds no record of it.
 func (d *Directory) MovePage(page uint64, dst *Directory) {
 	if d == dst {
 		return
 	}
-	pg, ok := d.pages[page]
-	if !ok {
+	pg := d.pages.Take(page)
+	if pg == nil {
 		return
 	}
-	nS, nX := 0, 0
-	for i := range pg {
-		switch pg[i].State {
-		case SharedState:
-			nS++
-		case Exclusive:
-			nX++
-		}
-	}
-	delete(d.pages, page)
-	if d.lastKey == page {
-		d.last = nil
-	}
+	nS, nX := stateCounts(pg)
 	d.nShared -= nS
 	d.nExclusive -= nX
-	// A page has one home at a time, so dst normally has no record of it;
-	// if a stale empty page was ever materialized there, retire its counts
-	// before overwriting.
-	if old, exists := dst.pages[page]; exists {
-		for i := range old {
-			switch old[i].State {
-			case SharedState:
-				dst.nShared--
-			case Exclusive:
-				dst.nExclusive--
-			}
-		}
-	}
-	dst.pages[page] = pg
-	if dst.lastKey == page {
-		dst.last = pg
-	}
+	dst.pages.Put(page, pg)
 	dst.nShared += nS
 	dst.nExclusive += nX
+}
+
+// stateCounts counts a page's entries in the Shared and Exclusive states.
+func stateCounts(pg *dirPage) (shared, exclusive int) {
+	for i := range pg.Blocks {
+		switch pg.Blocks[i].State {
+		case SharedState:
+			shared++
+		case Exclusive:
+			exclusive++
+		}
+	}
+	return shared, exclusive
 }
 
 // StateCounts reports how many blocks are currently in the Shared and
@@ -423,88 +376,62 @@ func (d *Directory) StateCounts() (shared, exclusive int) { return d.nShared, d.
 // state, in ascending block order. The verification layer (internal/check)
 // uses it for its end-of-run audit.
 func (d *Directory) ForEach(fn func(block uint64, e Entry)) {
-	keys := make([]uint64, 0, len(d.pages))
-	for key := range d.pages {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		pg := d.pages[key]
-		for i := range pg {
-			if pg[i].State != Unowned {
-				fn(key<<pageBlockShift|uint64(i), pg[i])
+	d.pages.ForEach(func(page uint64, pg *dirPage) {
+		for i := range pg.Blocks {
+			if pg.Blocks[i].State != Unowned {
+				fn(pagearray.BlockOf(page, i), pg.Blocks[i])
 			}
 		}
-	}
+	})
 }
 
-// CheckStorage verifies the dense two-level storage structure itself: every
-// materialized page is non-nil, the last-page memo aliases the entry the
-// page map really holds for its key, and the scratch invalidation list does
-// not alias a second buffer. These are the paths PR 1's rewrite added; a
-// desync here silently corrupts transitions even when every Entry looks
-// plausible.
-func (d *Directory) CheckStorage() error {
-	for key, pg := range d.pages {
-		if pg == nil {
-			return fmt.Errorf("directory: page %d materialized as nil", key)
-		}
-	}
-	if d.last != nil {
-		pg, ok := d.pages[d.lastKey]
-		if !ok {
-			return fmt.Errorf("directory: last-page memo names page %d, which is not in the map", d.lastKey)
-		}
-		if pg != d.last {
-			return fmt.Errorf("directory: last-page memo for page %d aliases a stale array", d.lastKey)
-		}
-	}
-	// Note: an allocated scratch list with an empty page map is legal — page
-	// migration (MovePage) can drain a directory that has already performed
-	// invalidating writes.
-	return nil
-}
-
-// Check verifies internal invariants — the storage structure and the
-// per-entry semantic constraints — returning a non-nil error on the first
-// violation. The online checker's Audit calls it; tests use it directly.
+// Check verifies the directory's internal invariants — the per-entry
+// semantic constraints, and the incremental state counts against a
+// recount — returning a non-nil error on the first violation. The online
+// checker's Audit calls it; tests use it directly.
 func (d *Directory) Check() error {
-	if err := d.CheckStorage(); err != nil {
-		return err
-	}
 	var firstErr error
-	d.ForEach(func(b uint64, e Entry) {
-		if firstErr != nil {
-			return
-		}
-		switch e.State {
-		case SharedState:
-			if e.Sharers.Count() == 0 {
-				firstErr = fmt.Errorf("block %d: Shared with no sharers", b)
+	nS, nX := 0, 0
+	d.pages.ForEach(func(page uint64, pg *dirPage) {
+		s, x := stateCounts(pg)
+		nS += s
+		nX += x
+		for i := range pg.Blocks {
+			if firstErr == nil {
+				firstErr = checkEntry(pagearray.BlockOf(page, i), &pg.Blocks[i])
 			}
-		case Exclusive:
-			if e.Sharers.Count() != 0 {
-				firstErr = fmt.Errorf("block %d: Exclusive with sharer bits set", b)
-			}
-			if e.Owner < 0 || int(e.Owner) >= MaxProcs {
-				firstErr = fmt.Errorf("block %d: bad owner %d", b, e.Owner)
-			}
-		default:
-			firstErr = fmt.Errorf("block %d: invalid state %d", b, uint8(e.State))
 		}
 	})
 	if firstErr != nil {
 		return firstErr
 	}
-	// Unowned entries with sharer bits are invisible to ForEach; sweep for
-	// them separately.
-	for key, pg := range d.pages {
-		for i := range pg {
-			if pg[i].State == Unowned && pg[i].Sharers.Count() != 0 {
-				return fmt.Errorf("block %d: Unowned with %d sharers",
-					key<<pageBlockShift|uint64(i), pg[i].Sharers.Count())
-			}
+	if nS != d.nShared || nX != d.nExclusive {
+		return fmt.Errorf("directory: state counts say %d Shared and %d Exclusive, a recount finds %d and %d",
+			d.nShared, d.nExclusive, nS, nX)
+	}
+	return nil
+}
+
+// checkEntry verifies one entry's semantic constraints.
+func checkEntry(b uint64, e *Entry) error {
+	switch e.State {
+	case Unowned:
+		if n := e.Sharers.Count(); n != 0 {
+			return fmt.Errorf("block %d: Unowned with %d sharers", b, n)
 		}
+	case SharedState:
+		if e.Sharers.Count() == 0 {
+			return fmt.Errorf("block %d: Shared with no sharers", b)
+		}
+	case Exclusive:
+		if e.Sharers.Count() != 0 {
+			return fmt.Errorf("block %d: Exclusive with sharer bits set", b)
+		}
+		if e.Owner < 0 || int(e.Owner) >= MaxProcs {
+			return fmt.Errorf("block %d: bad owner %d", b, e.Owner)
+		}
+	default:
+		return fmt.Errorf("block %d: invalid state %d", b, uint8(e.State))
 	}
 	return nil
 }

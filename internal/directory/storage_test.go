@@ -3,77 +3,82 @@ package directory
 import (
 	"reflect"
 	"testing"
+
+	"origin2000/internal/pagearray"
 )
 
-// The dense two-level storage rewrite added three load-bearing mechanisms:
-// page materialization, the last-page memo, and the reused scratch
-// invalidation list. These tests pin each one directly.
+// The page-array storage and the reused scratch invalidation list are the
+// directory's load-bearing mechanisms. These tests pin each one directly.
+
+const blocksPerPage = pagearray.BlocksPerPage
+
+// touchedPages lists the pages whose records the directory materialized.
+func touchedPages(d *Directory) []uint64 {
+	var pages []uint64
+	d.pages.ForEach(func(page uint64, _ *dirPage) { pages = append(pages, page) })
+	return pages
+}
 
 func TestEntryMaterializesPagesLazily(t *testing.T) {
 	d := New()
-	if len(d.pages) != 0 {
-		t.Fatal("fresh directory has pages")
+	if d.pages.Len() != 0 {
+		t.Fatal("fresh directory covers pages")
 	}
 	d.Read(5, 0)                 // page 0
 	d.Read(blocksPerPage+3, 1)   // page 1
 	d.Read(9*blocksPerPage+7, 2) // page 9
-	if len(d.pages) != 3 {
-		t.Fatalf("pages = %d, want 3", len(d.pages))
+	if got := touchedPages(d); !reflect.DeepEqual(got, []uint64{0, 1, 9}) {
+		t.Fatalf("touched pages = %v, want [0 1 9]", got)
 	}
-	// Entry on an untouched page must not materialize it.
-	if e := d.Entry(4 * blocksPerPage); e.State != Unowned {
-		t.Fatalf("untouched block state = %v", e.State)
-	}
-	if len(d.pages) != 3 {
-		t.Fatalf("read-only Entry materialized a page: %d pages", len(d.pages))
-	}
-	if err := d.CheckStorage(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLastPageMemoTracksTouchedPage(t *testing.T) {
-	d := New()
-	d.Read(3, 0)
-	if d.last == nil || d.last != d.pages[0] || d.lastKey != 0 {
-		t.Fatalf("memo not set after first touch: key=%d", d.lastKey)
-	}
-	// Streaming within one page keeps the memo pinned.
-	for b := uint64(0); b < blocksPerPage; b++ {
-		d.Read(b, 0)
-		if d.lastKey != 0 || d.last != d.pages[0] {
-			t.Fatalf("memo moved during same-page streaming at block %d", b)
+	// Entry on an untouched page, inside the array or beyond it, must not
+	// materialize it.
+	for _, b := range []uint64{4 * blocksPerPage, 40 * blocksPerPage} {
+		if e := d.Entry(b); e.State != Unowned {
+			t.Fatalf("untouched block %d state = %v", b, e.State)
 		}
 	}
-	// Touching another page retargets the memo.
-	d.Read(5*blocksPerPage+1, 0)
-	if d.lastKey != 5 || d.last != d.pages[5] {
-		t.Fatalf("memo did not follow to page 5: key=%d", d.lastKey)
+	if got := touchedPages(d); !reflect.DeepEqual(got, []uint64{0, 1, 9}) {
+		t.Fatalf("read-only Entry materialized a page: %v", got)
 	}
-	// peek through the memo must return the same entry entry() mutates.
-	d.Write(5*blocksPerPage+1, 3)
-	if e := d.Entry(5*blocksPerPage + 1); e.State != Exclusive || e.Owner != 3 {
-		t.Fatalf("memoized peek returned stale entry: %+v", e)
+	if d.pages.Len() != 10 {
+		t.Fatalf("array covers %d pages, want 10", d.pages.Len())
 	}
-	if err := d.CheckStorage(); err != nil {
+	if err := d.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMemoDistinguishesPageZeroFromUnset(t *testing.T) {
-	// lastKey's zero value is also page 0's key; the nil check on last must
-	// keep a fresh directory from treating the unset memo as a page-0 hit.
-	d := New()
-	if e := d.peek(0); e != nil {
-		t.Fatal("peek on fresh directory fabricated an entry")
+// TestMovePageHandsOffRecordAndCounts: migration moves a page's record and
+// its blocks' share of the state counts to the new home's directory, and
+// both directories still pass Check, which recounts them.
+func TestMovePageHandsOffRecordAndCounts(t *testing.T) {
+	src, dst := New(), New()
+	src.Read(2*blocksPerPage+1, 0)  // page 2: Shared
+	src.Write(2*blocksPerPage+5, 1) // page 2: Exclusive
+	src.Write(3*blocksPerPage, 1)   // page 3 stays
+	dst.Read(0, 4)                  // dst's own page 0
+	src.MovePage(2, dst)
+	src.MovePage(7, dst) // never touched: nothing to move
+	src.MovePage(3, src) // to itself: no-op
+	if got := touchedPages(src); !reflect.DeepEqual(got, []uint64{3}) {
+		t.Errorf("source pages = %v, want [3]", got)
 	}
-	d.Read(blocksPerPage, 0) // page 1 first, so lastKey != 0
-	if e := d.peek(0); e != nil {
-		t.Fatal("peek materialized page 0 via stale memo")
+	if got := touchedPages(dst); !reflect.DeepEqual(got, []uint64{0, 2}) {
+		t.Errorf("destination pages = %v, want [0 2]", got)
 	}
-	d.Read(0, 1) // now page 0 for real
-	if e := d.peek(0); e == nil || e.State != SharedState {
-		t.Fatal("page 0 entry not reachable after touch")
+	if e := dst.Entry(2*blocksPerPage + 5); e.State != Exclusive || e.Owner != 1 {
+		t.Errorf("moved entry = %+v, want Exclusive at 1", e)
+	}
+	if s, x := src.StateCounts(); s != 0 || x != 1 {
+		t.Errorf("source counts = %d Shared, %d Exclusive; want 0, 1", s, x)
+	}
+	if s, x := dst.StateCounts(); s != 2 || x != 1 {
+		t.Errorf("destination counts = %d Shared, %d Exclusive; want 2, 1", s, x)
+	}
+	for _, d := range []*Directory{src, dst} {
+		if err := d.Check(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -146,39 +151,6 @@ func TestForEachVisitsActiveBlocksInOrder(t *testing.T) {
 	}
 }
 
-func TestCheckStorageFlagsCorruption(t *testing.T) {
-	d := New()
-	d.Read(0, 1)
-	if err := d.CheckStorage(); err != nil {
-		t.Fatalf("healthy storage flagged: %v", err)
-	}
-
-	// Stale memo: points at an array the map no longer holds.
-	d.last = new(dirPage)
-	if err := d.CheckStorage(); err == nil {
-		t.Fatal("stale last-page memo not flagged")
-	}
-	d.last = d.pages[0]
-
-	// Memo naming a key the map lost.
-	d.lastKey = 42
-	if err := d.CheckStorage(); err == nil {
-		t.Fatal("memo with missing key not flagged")
-	}
-	d.lastKey = 0
-
-	// Nil page in the map.
-	d.pages[7] = nil
-	if err := d.CheckStorage(); err == nil {
-		t.Fatal("nil page not flagged")
-	}
-	delete(d.pages, 7)
-
-	if err := d.CheckStorage(); err != nil {
-		t.Fatalf("restored storage still flagged: %v", err)
-	}
-}
-
 func TestCheckFlagsSemanticCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -212,6 +184,13 @@ func TestCheckFlagsSemanticCorruption(t *testing.T) {
 		{"invalid state", func(d *Directory) {
 			e := d.entry(3)
 			e.State = State(7)
+		}},
+		{"shared count out of step", func(d *Directory) {
+			d.nShared++
+		}},
+		{"exclusive count out of step", func(d *Directory) {
+			d.Write(blocksPerPage, 2)
+			d.nExclusive--
 		}},
 	}
 	for _, tc := range cases {

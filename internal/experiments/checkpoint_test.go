@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"origin2000/internal/core"
+	"origin2000/internal/sim"
 	"origin2000/internal/snapshot"
 	"origin2000/internal/workload"
 )
@@ -184,5 +188,55 @@ func TestBisectCleanRun(t *testing.T) {
 	}
 	if rep.FirstBad != -1 {
 		t.Fatalf("clean run bisected to snapshot %d: %v", rep.FirstBad, rep.Audit)
+	}
+}
+
+// TestCheckpointSectionsPinned pins the simulation sections a resume proof
+// compares — every node's directory and the page table with its migrator —
+// across versions of the simulator, not only on a synthetic fixture. It
+// captures every 50 µs of two contract keys, migrating Water-Nsquared and
+// FFT, hashes each snapshot's Directories and MemPolicy JSON in capture
+// order, and compares the result with constants recorded on the code that
+// wrote them. A change to how page or directory state is stored must leave
+// them equal, or a checkpoint written before it would no longer resume.
+func TestCheckpointSectionsPinned(t *testing.T) {
+	cases := []struct {
+		key   contractKey
+		snaps int
+		gen   uint32 // the last snapshot's: 1 plus the migrations so far
+		hash  string
+	}{
+		{contractKey{app: "Water-Nsquared", procs: 32, scenario: "origin", migrate: true}, 1784, 103, "52793d3e2493629b"},
+		{appKey("FFT"), 307, 1, "c0591ba6c7f91cda"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.key.app, func(t *testing.T) {
+			app := AppByName(tc.key.app)
+			s := Scale{Div: 64, CacheDiv: 64, Seed: 42}
+			cfg := tc.key.config(s)
+			cfg.Checkpoint.Every = 50 * sim.Microsecond
+			h := sha256.New()
+			var n int
+			var gen uint32
+			cfg.Checkpoint.Sink = func(sn *snapshot.Snapshot) error {
+				for _, sec := range []any{sn.Directories, sn.MemPolicy} {
+					b, err := json.Marshal(sec)
+					if err != nil {
+						return err
+					}
+					h.Write(b)
+				}
+				n, gen = n+1, sn.MemPolicy.Gen
+				return nil
+			}
+			if _, err := s.RunConfig(app, cfg, s.Params(app, app.BasicSize(), "")); err != nil {
+				t.Fatal(err)
+			}
+			got := hex.EncodeToString(h.Sum(nil))[:16]
+			if n != tc.snaps || gen != tc.gen || got != tc.hash {
+				t.Fatalf("%d snapshots, last gen %d, hash %s; want %d, %d, %s",
+					n, gen, got, tc.snaps, tc.gen, tc.hash)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +21,15 @@ func TestTable1RatiosOrdered(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "Origin2000") || !strings.Contains(out, "NUMALiiNE") {
 		t.Fatalf("missing machines:\n%s", out)
+	}
+	// A value the paper does not give prints as "-", never as 0.
+	for _, f := range strings.Fields(out) {
+		if parts := strings.Split(f, "/"); len(parts) == 3 && slices.Contains(parts, "0") {
+			t.Errorf("paper(L/C/D) column prints a missing value as 0: %s", f)
+		}
+	}
+	if !strings.Contains(out, "240/2500/-") {
+		t.Errorf("NUMA-Q's paper column does not read 240/2500/-:\n%s", out)
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"origin2000/internal/core"
 	"origin2000/internal/mempolicy"
@@ -65,7 +67,8 @@ func LatencyProbe(lat core.Latencies) (local, clean, dirty sim.Time, err error) 
 
 // table1Rows are Table 1's rows: each machine's latency preset (a
 // scenario.LatencyPresets name), its display label, and the paper's
-// measured local, remote-clean and remote-dirty latencies in ns.
+// measured local, remote-clean and remote-dirty latencies in ns (0 where
+// the paper gives none).
 var table1Rows = []struct {
 	preset, label string
 	paper         [3]int
@@ -88,7 +91,6 @@ func Table1(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		pp := mach.paper
 		rows = append(rows, []string{
 			mach.label,
 			fmt.Sprintf("%.0f", local.Nanoseconds()),
@@ -96,12 +98,25 @@ func Table1(w io.Writer) error {
 			fmt.Sprintf("%.0f", dirty.Nanoseconds()),
 			fmt.Sprintf("%.1f:1", float64(clean)/float64(local)),
 			fmt.Sprintf("%.1f:1", float64(dirty)/float64(local)),
-			fmt.Sprintf("%d/%d/%d", pp[0], pp[1], pp[2]),
+			paperColumn(mach.paper),
 		})
 	}
 	fprintf(w, "Table 1: read-miss latencies by machine preset (measured on the simulator)\n")
 	fprintf(w, "%s\n", perf.Table(rows))
 	return nil
+}
+
+// paperColumn prints three of the paper's values as a/b/c, with "-" for a
+// value the paper does not give.
+func paperColumn(v [3]int) string {
+	s := make([]string, len(v))
+	for i, x := range v {
+		s[i] = "-"
+		if x > 0 {
+			s[i] = strconv.Itoa(x)
+		}
+	}
+	return strings.Join(s, "/")
 }
 
 // paperTable2 holds the paper's sequential times in ms (interpreting the
@@ -189,14 +204,13 @@ func Table3(se *Session, w io.Writer) error {
 			}
 			speedups[i] = perf.Speedup(seq, r.Elapsed)
 		}
-		pp := paperTable3[name]
 		rows = append(rows, []string{
 			name,
 			fmt.Sprintf("%d", params.Size),
 			fmt.Sprintf("%.1f", speedups[0]),
 			fmt.Sprintf("%.1f", speedups[1]),
 			fmt.Sprintf("%.1f", speedups[2]),
-			fmt.Sprintf("%d/%d/%d", pp[0], pp[1], pp[2]),
+			paperColumn(paperTable3[name]),
 		})
 	}
 	fprintf(w, "Table 3: speedups at %d processors under different data distributions\n", procs)

@@ -1,11 +1,14 @@
 package mempolicy
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// The generation counter is the page table's only invalidation signal for
-// the per-processor home TLBs (internal/core): it must bump exactly when an
-// existing translation becomes wrong, and never otherwise — spurious bumps
-// throw away every cached translation machine-wide.
+// The snapshot's gen field is 1 plus the number of times a placed page
+// moved; snapshots written before the page table was page-indexed carry
+// the same count, so resume proofs still compare equal. It must count
+// exactly the moves of an already-homed page and nothing else.
 func TestGenBumpSemantics(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -37,34 +40,53 @@ func TestGenBumpSemantics(t *testing.T) {
 			tb.Home(10, 0)
 			tb.RecordRemoteMiss(10, 1)
 		}, 0},
+		{"migration", func(tb *Table) {
+			tb.Home(10, 0)
+			tb.RecordRemoteMiss(10, 1)
+			tb.RecordRemoteMiss(10, 1)
+		}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tb := NewTable(4, FirstTouch, nil)
-			before := tb.Gen()
+			tb := NewTable(4, FirstTouch, NewMigrator(4, 2))
+			if gen := tb.Snap().Gen; gen != 1 {
+				t.Fatalf("fresh table's gen = %d, want 1", gen)
+			}
 			tc.run(tb)
-			if got := tb.Gen() - before; got != tc.wantBump {
+			if got := tb.Snap().Gen - 1; got != tc.wantBump {
 				t.Fatalf("gen bumped %d times, want %d", got, tc.wantBump)
 			}
 		})
 	}
 }
 
-func TestGenBumpsOnMigration(t *testing.T) {
-	tb := NewTable(4, FirstTouch, NewMigrator(4, 2))
-	tb.Home(10, 0) // first touch at node 0
-	before := tb.Gen()
-	var moved bool
-	for i := 0; i < 10 && !moved; i++ {
-		_, moved = tb.RecordRemoteMiss(10, 3)
+// TestRemapsMoveHomes: a manual re-home and a migration each move exactly
+// their page and report the move through OnRemap; a re-home to the page's
+// own node is not a move.
+func TestRemapsMoveHomes(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(tb *Table)
+		home   int    // page 10's home afterwards
+		remaps string // what OnRemap saw
+	}{
+		{"manual re-home", func(tb *Table) { tb.SetHome(10, 2) }, 2, "[10:0->2]"},
+		{"re-home to the same node", func(tb *Table) { tb.SetHome(10, 0) }, 0, "[]"},
+		{"migration", func(tb *Table) { tb.RecordRemoteMiss(10, 3); tb.RecordRemoteMiss(10, 3) }, 3, "[10:0->3]"},
 	}
-	if !moved {
-		t.Fatal("migration never triggered")
-	}
-	if tb.Gen() == before {
-		t.Fatal("migration did not bump the generation")
-	}
-	if h := tb.Home(10, 0); h != 3 {
-		t.Fatalf("page homed at %d after migration, want 3", h)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := NewTable(4, FirstTouch, NewMigrator(4, 2))
+			tb.Home(10, 0)
+			tb.Home(11, 1)
+			var got []string
+			tb.OnRemap = func(page uint64, from, to int) { got = append(got, fmt.Sprintf("%d:%d->%d", page, from, to)) }
+			tc.mutate(tb)
+			h10, _ := tb.Lookup(10)
+			h11, _ := tb.Lookup(11)
+			if h10 != tc.home || h11 != 1 || fmt.Sprint(got) != tc.remaps {
+				t.Errorf("homes %d, %d and remaps %v; want %d, 1 and %s", h10, h11, got, tc.home, tc.remaps)
+			}
+		})
 	}
 }

@@ -34,17 +34,24 @@ func (k Kind) String() string {
 }
 
 // Table maps pages to home nodes.
+//
+// Its state is indexed by page number, because the machine bump-allocates
+// memory from address zero. The slices grow only when a page is placed or
+// takes a remote miss under migration, which the machine does before Run
+// or in the engine's serialized commit phase (DESIGN.md §11); concurrent
+// lookups from other shards therefore never see the slice header change.
 type Table struct {
 	numNodes int
 	kind     Kind
-	homes    map[uint64]int32
+	homes    []int32 // homes[page] is the page's home plus one; 0 = unplaced
 	migrator *Migrator
-	gen      uint32 // bumped whenever an existing page->home mapping changes
+	remaps   uint32 // moves of an already-homed page
 
 	// OnRemap, when set, observes every move of an already-homed page —
 	// dynamic migrations and overriding SetHome calls alike — with the
-	// page's previous and new home. The tracing layer uses it for
-	// per-page migration heat; it must not mutate placement state.
+	// page's previous and new home. The machine uses it to move the page's
+	// directory records and to feed the tracer's per-page migration heat;
+	// it must not mutate placement state.
 	OnRemap func(page uint64, from, to int)
 }
 
@@ -54,19 +61,8 @@ func NewTable(numNodes int, kind Kind, m *Migrator) *Table {
 	if numNodes < 1 {
 		numNodes = 1
 	}
-	return &Table{
-		numNodes: numNodes,
-		kind:     kind,
-		homes:    make(map[uint64]int32),
-		migrator: m,
-		gen:      1, // non-zero so zero-valued cache entries never match
-	}
+	return &Table{numNodes: numNodes, kind: kind, migrator: m}
 }
-
-// Gen is the table's remap generation. It changes whenever a page that
-// already had a home moves (migration or an overriding SetHome), so callers
-// caching page->home translations can validate them with one comparison.
-func (t *Table) Gen() uint32 { return t.gen }
 
 // NumNodes reports the node count.
 func (t *Table) NumNodes() int { return t.numNodes }
@@ -74,11 +70,7 @@ func (t *Table) NumNodes() int { return t.numNodes }
 // Kind reports the default policy.
 func (t *Table) Kind() Kind { return t.kind }
 
-// Migration reports whether dynamic migration is enabled.
-func (t *Table) Migration() bool { return t.migrator != nil }
-
-// policyChoice computes the default policy's pick for an unplaced page
-// (pure computation, no map access).
+// policyChoice computes the default policy's pick for an unplaced page.
 func (t *Table) policyChoice(page uint64, touchNode int) int {
 	if t.kind == RoundRobin {
 		return int(page % uint64(t.numNodes))
@@ -90,60 +82,55 @@ func (t *Table) policyChoice(page uint64, touchNode int) int {
 // the page is untouched. touchNode is the node of the accessing processor
 // (used by FirstTouch).
 func (t *Table) Home(page uint64, touchNode int) int {
-	h, _ := t.Resolve(page, touchNode, nil)
-	return h
-}
-
-// Resolve returns the page's home node in a single map lookup, assigning
-// one on first touch: the default policy's choice is passed through the
-// optional place hook (e.g. a per-node capacity spill), recorded, and
-// reported with fresh=true. This is the hot-path replacement for the
-// Placed+Choose+SetHome sequence.
-func (t *Table) Resolve(page uint64, touchNode int, place func(choice int) int) (home int, fresh bool) {
-	if h, ok := t.homes[page]; ok {
-		return int(h), false
+	if h, ok := t.Lookup(page); ok {
+		return h
 	}
 	h := t.policyChoice(page, touchNode)
-	if place != nil {
-		h = place(h)
-	}
-	t.homes[page] = int32(h)
-	return h, true
+	t.set(page, h)
+	return h
 }
 
 // Choose returns the home the default policy would pick for an unplaced
 // page, without recording it. Callers that need to adjust the choice (e.g.
 // for per-node capacity limits) combine Choose with SetHome.
 func (t *Table) Choose(page uint64, touchNode int) int {
-	if h, ok := t.homes[page]; ok {
-		return int(h)
+	if h, ok := t.Lookup(page); ok {
+		return h
 	}
 	return t.policyChoice(page, touchNode)
 }
 
 // SetHome pins a page to a node (manual placement by the application).
 func (t *Table) SetHome(page uint64, node int) {
-	if h, ok := t.homes[page]; ok && int(h) != node {
-		t.gen++ // an existing mapping moved: cached translations are stale
+	if h, ok := t.Lookup(page); ok && h != node {
+		t.remaps++
 		if t.OnRemap != nil {
-			t.OnRemap(page, int(h), node)
+			t.OnRemap(page, h, node)
 		}
 	}
-	t.homes[page] = int32(node)
+	t.set(page, node)
+}
+
+// set records node as page's home.
+func (t *Table) set(page uint64, node int) {
+	t.homes = cover(t.homes, page)
+	t.homes[page] = int32(node) + 1
 }
 
 // Lookup returns the page's home without assigning one, reporting whether
-// the page is placed. The engine's shard classifier uses it on the hot
-// path: an unplaced page's first touch mutates placement state, so it must
-// run in the serialized commit phase, which Resolve then handles.
+// the page is placed. It never writes, so the engine's shard classifier
+// calls it from any shard: an unplaced page's first touch mutates
+// placement state, so it must run in the serialized commit phase.
 func (t *Table) Lookup(page uint64) (home int, ok bool) {
-	h, ok := t.homes[page]
-	return int(h), ok
+	if page < uint64(len(t.homes)) && t.homes[page] != 0 {
+		return int(t.homes[page]) - 1, true
+	}
+	return 0, false
 }
 
 // Placed reports whether a page already has a home.
 func (t *Table) Placed(page uint64) bool {
-	_, ok := t.homes[page]
+	_, ok := t.Lookup(page)
 	return ok
 }
 
@@ -159,13 +146,21 @@ func (t *Table) RecordRemoteMiss(page uint64, node int) (newHome int, migrated b
 	if !ok {
 		return 0, false
 	}
-	from := int(t.homes[page])
-	t.homes[page] = int32(to)
-	t.gen++ // the page moved: cached translations are stale
+	from, _ := t.Lookup(page)
+	t.set(page, to)
+	t.remaps++
 	if t.OnRemap != nil {
 		t.OnRemap(page, from, to)
 	}
 	return to, true
+}
+
+// cover returns s extended with zero values to cover index page.
+func cover[T any](s []T, page uint64) []T {
+	if page >= uint64(len(s)) {
+		s = append(s, make([]T, page+1-uint64(len(s)))...)
+	}
+	return s
 }
 
 // Migrator implements the counter-based migration policy: when one node has
@@ -177,7 +172,7 @@ type Migrator struct {
 	// Migrations counts pages moved.
 	Migrations int64
 
-	counts map[uint64][]int32
+	counts [][]int32 // counts[page] is nil until the page's first remote miss
 	nodes  int
 }
 
@@ -187,16 +182,13 @@ func NewMigrator(numNodes, threshold int) *Migrator {
 	if threshold <= 0 {
 		threshold = 64
 	}
-	return &Migrator{
-		Threshold: threshold,
-		counts:    make(map[uint64][]int32),
-		nodes:     numNodes,
-	}
+	return &Migrator{Threshold: threshold, nodes: numNodes}
 }
 
 func (m *Migrator) record(page uint64, node int) (to int, migrate bool) {
-	c, ok := m.counts[page]
-	if !ok {
+	m.counts = cover(m.counts, page)
+	c := m.counts[page]
+	if c == nil {
 		c = make([]int32, m.nodes)
 		m.counts[page] = c
 	}

@@ -28,11 +28,17 @@ func TestRoundRobinStripes(t *testing.T) {
 func TestSetHomeOverridesPolicy(t *testing.T) {
 	tab := NewTable(4, RoundRobin, nil)
 	tab.SetHome(7, 2)
+	tab.SetHome(5, 0)
 	if got := tab.Home(7, 0); got != 2 {
 		t.Fatalf("home = %d, want manual 2", got)
 	}
-	if !tab.Placed(7) || tab.Placed(8) {
+	// Page 3 lies inside the table's slice but was never placed; page 8
+	// lies beyond it; node 0 is a home, not "unplaced".
+	if !tab.Placed(7) || tab.Placed(8) || tab.Placed(3) || !tab.Placed(5) {
 		t.Fatal("Placed bookkeeping wrong")
+	}
+	if h, ok := tab.Lookup(5); !ok || h != 0 {
+		t.Fatalf("Lookup(5) = %d, %v; want 0, true", h, ok)
 	}
 }
 

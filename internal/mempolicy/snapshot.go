@@ -1,7 +1,5 @@
 package mempolicy
 
-import "sort"
-
 // PageHome is one page->home mapping in a TableSnap.
 type PageHome struct {
 	Page uint64 `json:"page"`
@@ -22,9 +20,12 @@ type MigratorSnap struct {
 }
 
 // TableSnap is the serializable placement state: the default policy, the
-// remap generation, and every page->home mapping in ascending page order.
+// remap count, and every page->home mapping in ascending page order.
 type TableSnap struct {
-	Kind     string        `json:"kind"`
+	Kind string `json:"kind"`
+	// Gen is 1 plus the number of times a placed page moved, the value
+	// snapshots written by earlier versions of the simulator carry, so
+	// those still prove equal on resume.
 	Gen      uint32        `json:"gen"`
 	Homes    []PageHome    `json:"homes,omitempty"`
 	Migrator *MigratorSnap `json:"migrator,omitempty"`
@@ -33,13 +34,11 @@ type TableSnap struct {
 // Snap captures the table's placement state in canonical (page-sorted)
 // order.
 func (t *Table) Snap() TableSnap {
-	s := TableSnap{Kind: t.kind.String(), Gen: t.gen}
-	if len(t.homes) > 0 {
-		s.Homes = make([]PageHome, 0, len(t.homes))
-		for page, home := range t.homes {
-			s.Homes = append(s.Homes, PageHome{Page: page, Home: home})
+	s := TableSnap{Kind: t.kind.String(), Gen: 1 + t.remaps}
+	for page, h := range t.homes {
+		if h != 0 {
+			s.Homes = append(s.Homes, PageHome{Page: uint64(page), Home: h - 1})
 		}
-		sort.Slice(s.Homes, func(i, j int) bool { return s.Homes[i].Page < s.Homes[j].Page })
 	}
 	if t.migrator != nil {
 		s.Migrator = t.migrator.snap()
@@ -49,12 +48,10 @@ func (t *Table) Snap() TableSnap {
 
 func (m *Migrator) snap() *MigratorSnap {
 	s := &MigratorSnap{Threshold: m.Threshold, Migrations: m.Migrations}
-	if len(m.counts) > 0 {
-		s.Counts = make([]PageCounts, 0, len(m.counts))
-		for page, c := range m.counts {
-			s.Counts = append(s.Counts, PageCounts{Page: page, Counts: append([]int32(nil), c...)})
+	for page, c := range m.counts {
+		if c != nil {
+			s.Counts = append(s.Counts, PageCounts{Page: uint64(page), Counts: append([]int32(nil), c...)})
 		}
-		sort.Slice(s.Counts, func(i, j int) bool { return s.Counts[i].Page < s.Counts[j].Page })
 	}
 	return s
 }

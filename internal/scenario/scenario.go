@@ -117,15 +117,25 @@ func (s Spec) Validate(procs int) error {
 		return fmt.Errorf("scenario %s: unknown topology kind %q (want origin, mesh2d, fattree or dragonfly)",
 			n.label(), n.Topology.Kind)
 	}
-	if n.Topology.PodSize < 0 || n.Topology.GroupSize < 0 {
-		return fmt.Errorf("scenario %s: negative topology parameter", n.label())
-	}
 	f, err := n.Format()
 	if err != nil {
 		return fmt.Errorf("scenario %s: %v", n.label(), err)
 	}
-	if n.Directory.Pointers < 0 || n.Directory.Region < 0 {
-		return fmt.Errorf("scenario %s: negative directory parameter", n.label())
+	// Sizes beyond the largest machine mean nothing, and an unbounded one
+	// overflows the topologies' group and pod arithmetic.
+	for _, p := range []struct {
+		v     int
+		field string
+	}{
+		{n.Topology.PodSize, "topology.pod_size"},
+		{n.Topology.GroupSize, "topology.group_size"},
+		{n.Directory.Pointers, "directory.pointers"},
+		{n.Directory.Region, "directory.region"},
+	} {
+		if p.v < 0 || p.v > directory.MaxProcs {
+			return fmt.Errorf("scenario %s: %s is %d, outside [0, %d]",
+				n.label(), p.field, p.v, directory.MaxProcs)
+		}
 	}
 	// A parameter its kind ignores builds the same machine but changes the
 	// content hash, so resume would refuse a checkpoint of that machine.

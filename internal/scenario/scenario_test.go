@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,6 +129,34 @@ func TestValidateRejectsUnknownKinds(t *testing.T) {
 	bad = Spec{Latency: "cray-t3e"}
 	if err := bad.Validate(32); err == nil || !strings.Contains(err.Error(), "cray-t3e") {
 		t.Fatalf("unknown latency preset: %v", err)
+	}
+}
+
+// TestValidateBoundsParameters: every size parameter must lie in
+// [0, directory.MaxProcs], and the error names the field. An unbounded
+// dragonfly group size once overflowed the group count to 0.
+func TestValidateBoundsParameters(t *testing.T) {
+	cases := []struct {
+		field string
+		spec  func(v int) Spec
+	}{
+		{"topology.pod_size", func(v int) Spec { return Spec{Topology: TopologySpec{Kind: "fattree", PodSize: v}} }},
+		{"topology.group_size", func(v int) Spec { return Spec{Topology: TopologySpec{Kind: "dragonfly", GroupSize: v}} }},
+		{"directory.pointers", func(v int) Spec { return Spec{Directory: DirectorySpec{Format: "limited", Pointers: v}} }},
+		{"directory.region", func(v int) Spec { return Spec{Directory: DirectorySpec{Format: "coarse", Region: v}} }},
+	}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			if err := c.spec(directory.MaxProcs).Validate(32); err != nil {
+				t.Fatalf("%s = %d rejected: %v", c.field, directory.MaxProcs, err)
+			}
+			for _, v := range []int{-1, directory.MaxProcs + 1, math.MaxInt} {
+				err := c.spec(v).Validate(32)
+				if err == nil || !strings.Contains(err.Error(), c.field) {
+					t.Errorf("%s = %d: error %v does not name the field", c.field, v, err)
+				}
+			}
+		})
 	}
 }
 
