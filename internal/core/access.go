@@ -158,9 +158,6 @@ func (p *Proc) transaction(block uint64, home int, write bool) (complete sim.Tim
 			if ck := m.check; ck != nil {
 				ck.OnDowngrade(owner, block, p.sp.Now())
 			}
-			if sh := m.sharing; sh != nil {
-				sh.OnDowngrade(owner, block)
-			}
 		}
 		m.mems[home].Acquire(t, lat.WritebackOcc)
 		f3 := m.fabric.Route(op.router, p.router)
@@ -367,9 +364,6 @@ func (p *Proc) evictVictim(v cache.Victim, at sim.Time) {
 		if ck := m.check; ck != nil {
 			ck.OnWriteback(p.ID(), v.Block, p.sp.Now())
 		}
-		if sh := m.sharing; sh != nil {
-			sh.OnWriteback(p.ID(), v.Block)
-		}
 		if tr := m.tracer; tr != nil {
 			tr.Writeback(p.ID(), at, v.Block, vpage, vhome)
 		}
@@ -377,9 +371,6 @@ func (p *Proc) evictVictim(v cache.Victim, at sim.Time) {
 		m.dirs[vhome].Evict(v.Block, p.ID())
 		if ck := m.check; ck != nil {
 			ck.OnEvict(p.ID(), v.Block, p.sp.Now())
-		}
-		if sh := m.sharing; sh != nil {
-			sh.OnEvict(p.ID(), v.Block)
 		}
 	}
 }

@@ -372,6 +372,7 @@ func (m *Machine) unmute(rs *snapshot.Snapshot) error {
 	}
 	if cfg.Sharing.Enabled {
 		sh := sharing.New(cfg.Procs, m.numNodes)
+		sh.GrowPages(m.numPages())
 		if err := sh.Restore(*rs.Sharing); err != nil {
 			return err
 		}

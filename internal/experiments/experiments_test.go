@@ -5,15 +5,35 @@ import (
 	"strings"
 	"testing"
 
+	"origin2000/internal/core"
 	"origin2000/internal/scenario"
 	"origin2000/internal/sim"
 )
 
 func testSession() *Session { return NewSession(TestScale) }
 
+// TestTable1RatiosOrdered probes every Table 1 preset. The Origin must
+// show the lowest remote/local ratios, clean and dirty, and NUMA-Q the
+// highest clean ratio: the paper's 2500/240 is above NUMALiiNE's
+// 2400/240.
 func TestTable1RatiosOrdered(t *testing.T) {
-	// The Origin must show the lowest remote/local ratio, NUMALiiNE the
-	// highest clean ratio modeled.
+	clean, dirty := map[string]float64{}, map[string]float64{}
+	for _, name := range scenario.LatencyPresets {
+		local, c, d, err := LatencyProbe(core.Table1Latencies(name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		clean[name], dirty[name] = float64(c)/float64(local), float64(d)/float64(local)
+	}
+	for _, name := range scenario.LatencyPresets {
+		if name != "origin2000" && (clean[name] <= clean["origin2000"] || dirty[name] <= dirty["origin2000"]) {
+			t.Errorf("%s ratios %.2f:1 clean, %.2f:1 dirty do not exceed the Origin's %.2f:1 and %.2f:1",
+				name, clean[name], dirty[name], clean["origin2000"], dirty["origin2000"])
+		}
+		if name != "numa-q" && clean[name] >= clean["numa-q"] {
+			t.Errorf("%s clean ratio %.2f:1 is not below NUMA-Q's %.2f:1", name, clean[name], clean["numa-q"])
+		}
+	}
 	var sb strings.Builder
 	if err := Table1(&sb); err != nil {
 		t.Fatal(err)

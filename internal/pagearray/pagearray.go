@@ -1,5 +1,6 @@
 // Package pagearray is the page-dense layout the machine's directories,
-// the online checker's block mirrors and the tracer's heat index share.
+// the online checker's block mirrors, the tracer's heat index and the
+// sharing classifier's tables share.
 // Simulated memory is bump-allocated from address zero
 // (core.Machine.Alloc), so a page number indexes a slice directly. Each
 // touched page owns one record holding a per-page head and a slot per

@@ -255,8 +255,8 @@ func (o *Observer) Report(top int) *Report {
 	}
 
 	pages := make([]PageReport, 0, o.npages)
-	o.forEachPage(func(pg uint64, p *pageState) {
-		pages = append(pages, PageReport{Page: pg, Home: p.home, Remote: p.remote})
+	o.forEachPage(func(pg uint64, h *pageHead) {
+		pages = append(pages, PageReport{Page: pg, Home: h.home, Remote: h.remote})
 	})
 	sort.Slice(pages, func(i, j int) bool {
 		if pages[i].Remote != pages[j].Remote {

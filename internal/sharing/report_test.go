@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"origin2000/internal/memclass"
+	"origin2000/internal/pagearray"
 )
 
 // referenceTables is the materialize-and-sort construction of the report's
@@ -79,8 +80,8 @@ func feedSeeded(o *Observer, blocks []uint64, r *rand.Rand) {
 
 // TestReportMatchesReference checks Report's bounded top-block and
 // suspect tables against the full sort on seeded block sets spread over
-// several table chunks, at top 0 (every row), 1, 10 and past the block
-// count, and that the sets really tie in both sort keys.
+// 128 pages, at top 0 (every row), 1, 10 and past the block count, and
+// that the sets really tie in both sort keys.
 func TestReportMatchesReference(t *testing.T) {
 	var missTies, falseTies int
 	for seed := int64(1); seed <= 8; seed++ {
@@ -88,7 +89,7 @@ func TestReportMatchesReference(t *testing.T) {
 		seen := map[uint64]bool{}
 		var blocks []uint64
 		for len(blocks) < 600 {
-			if blk := uint64(r.Intn(4 * blockChunkSize)); !seen[blk] {
+			if blk := uint64(r.Intn(128 * pagearray.BlocksPerPage)); !seen[blk] {
 				seen[blk] = true
 				blocks = append(blocks, blk)
 			}
@@ -166,6 +167,45 @@ func TestNewAllocsBounded(t *testing.T) {
 	if _, n := allocs(func() { New(32, 16) }); n >= 1<<20 {
 		t.Errorf("New(32, 16) allocates %d bytes, want under 1 MB", n)
 	}
+}
+
+// TestTableMemoryFollowsTouchedPages guards the table's footprint: one
+// miss on block 0 of each of 64 pages spaced 32 pages apart, folded by
+// Report(0), allocates under 2 MB, because only touched pages own a
+// record.
+func TestTableMemoryFollowsTouchedPages(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	o := New(32, 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 64; i++ {
+		page := uint64(32 * i)
+		o.OnMiss(i%32, pagearray.BlockOf(page, 0), 0, false, memclass.RemoteClean, i%16, page, 0)
+	}
+	o.Report(0)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 2<<20 {
+		t.Errorf("one miss on each of 64 pages allocates %d bytes, want under 2 MB", n)
+	}
+}
+
+// BenchmarkSharingFold records and folds hits with one miss in eight from
+// 32 processors, each cycling over eight blocks on eight pages: more
+// blocks than the memo has ways, so each event resolves its block through
+// the page table. ns/op is per event, capture and fold included.
+func BenchmarkSharingFold(b *testing.B) {
+	o := New(32, 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		proc, page := i%32, uint64(i%256)
+		blk, word := pagearray.BlockOf(page, proc), i%WordsPerBlock
+		if i%8 == 0 {
+			o.OnMiss(proc, blk, word, false, memclass.RemoteClean, int(page%16), page, 0)
+		} else {
+			o.OnHit(proc, blk, word, i%3 == 0)
+		}
+	}
+	o.flush()
 }
 
 // BenchmarkSharingReport records a seeded log touching 100K blocks on a

@@ -28,6 +28,7 @@ import (
 	"math/bits"
 
 	"origin2000/internal/memclass"
+	"origin2000/internal/pagearray"
 )
 
 // Sub-block footprint granularity: the classifier tracks accesses at
@@ -101,8 +102,8 @@ func (p Pattern) String() string {
 // sequences) lives in the observer's watch arena, allocated at a
 // block's first invalidation: a block that misses but never coheres —
 // the overwhelming majority — stays at 128 bytes with no per-copy
-// records at all. Processors 64..127 overflow into the chunk's wide
-// mask arrays, allocated only for machines that large.
+// records at all. Processors 64..127 overflow into the page head's wide
+// mask array, allocated only for machines that large.
 //
 // The counters are uint32: a single block absorbing 4 billion
 // classified events is beyond any tracked configuration, and halving
@@ -110,14 +111,18 @@ func (p Pattern) String() string {
 // maskWords is one 64-processor population of the five presence masks.
 // Keeping them in one addressable struct lets the hooks resolve a
 // processor's bits with a single pointer (the block's own words below
-// processor 64, the chunk's wide array above) instead of five.
+// processor 64, the page head's wide array above) instead of five.
 type maskWords struct {
 	// Invariants: lost is set from invalidation to the next refill, so
 	// lost != 0 means some victim is watching write sequences; live is
-	// lazy (evictions are observed at the next miss, see OnEvict).
+	// lazy (evictions are observed at the next miss, see applyMiss).
 	live, everHeld, lost uint64
 	readers, writers     uint64 // processors that ever read / wrote
 }
+
+// touched reports whether the population has recorded an event (every
+// hook sets readers, writers or everHeld).
+func (m *maskWords) touched() bool { return m.readers|m.writers|m.everHeld != 0 }
 
 type blockState struct {
 	m maskWords // presence masks for processors 0..63
@@ -157,13 +162,7 @@ type blockState struct {
 	// snapshot (lossSeq) against this replaces a full per-copy version
 	// vector — same exact verdicts at a fraction of the state.
 	seq uint32
-	_   [8]byte // pad to 128 so chunk entries stay line-aligned
-}
-
-// touched reports whether the slot has ever recorded an event (embedded
-// values start zeroed; every hook sets readers, writers or everHeld).
-func (b *blockState) touched() bool {
-	return b.m.readers|b.m.writers|b.m.everHeld != 0
+	_   [8]byte // pad to 128 so page slots stay line-aligned
 }
 
 // coherence reports the block's coherence-miss total.
@@ -174,50 +173,41 @@ func (b *blockState) coherence() int64 {
 // pendingCount reports coherence misses still awaiting settlement.
 func (b *blockState) pendingCount() int64 { return int64(b.pendingCnt) }
 
-// pageState accumulates remote-miss attribution for one page. A page is
-// touched iff remote != 0 (it is only resolved to count a remote miss).
-type pageState struct {
+// The classifier's tables are one page array (internal/pagearray), the
+// layout the directories, the checker and the tracer share: the machine
+// bump-allocates simulated addresses from zero, so page numbers index a
+// slice directly, and each touched page owns one record holding its
+// pageHead and a blockState per block.
+type sharePage = pagearray.Page[pageHead, blockState]
+
+// pageHead is a page's hotspot record: its remote-miss attribution and,
+// on machines with more than 64 processors, the presence masks of
+// processors 64..127 for the page's blocks. The hotspot entry counts as
+// touched iff remote != 0 (it is only written to count a remote miss).
+type pageHead struct {
 	home   int // home node at the page's last remote miss
 	remote int64
+	hi     *[pagearray.BlocksPerPage]maskWords // nil unless the observer is wide
+	_      [40]byte                            // pad to a line so block slots stay line-aligned
 }
 
 // Observer is the per-machine sharing classifier. All recording methods
 // are called from simulated-processor goroutines, which the engine
 // serializes (the observer forces one worker), so no locking is needed
 // and recording order is deterministic.
-// Table geometry: the machine bump-allocates simulated addresses from
-// zero, so block and page numbers are dense small integers and two-level
-// arrays beat hash maps on the per-access hot path. A block chunk covers
-// 4096 blocks (512KB of simulated memory) and allocates on first touch.
-const (
-	blockChunkShift = 12
-	blockChunkSize  = 1 << blockChunkShift
-	blockChunkMask  = blockChunkSize - 1
-)
-
-// hiChunk carries the presence masks for processors 64..127; allocated
-// per chunk only when the machine has more than 64 processors.
-type hiChunk struct {
-	m [blockChunkSize]maskWords
-}
-
-// blockChunk is one two-level table leaf.
-type blockChunk struct {
-	blocks []blockState
-	hi     *hiChunk // nil unless the observer is wide (>64 processors)
-}
-
 type Observer struct {
 	nprocs, nnodes int
 	// wide is set for machines with more than 64 processors, whose
-	// presence bits overflow into per-chunk hi arrays. The common-size
-	// hot paths test this one bool instead of resolving the chunk.
+	// presence bits overflow into the page heads' hi arrays. The
+	// common-size hot paths test this one bool instead of resolving the
+	// page.
 	wide   bool
 	stride int // watch-arena row length in uint32s
 
-	blocks []*blockChunk // two-level table indexed by block number
-	pages  [][]pageState // two-level table indexed by page number
-	npages int
+	// pages grows on demand: live events name only pages the machine
+	// allocated, and the observer forces one host worker.
+	pages  pagearray.Array[pageHead, blockState]
+	npages int // pages with a remote miss
 	// watch is the coherence-episode arena: one row per block that was
 	// ever invalidated, laid out as WordsPerBlock per-word last-write
 	// sequences, then nprocs loss snapshots, then nprocs pending word
@@ -229,9 +219,9 @@ type Observer struct {
 	// memo caches each processor's recently-accessed blocks. Word-
 	// granularity access runs hit the same block dozens of times in a
 	// row, and the block-table walk was the fold's dominant cost.
-	// The cached pointers are stable (chunk arrays never move once
+	// The cached pointers are stable (page records never move once
 	// allocated), so the memo only resets when Restore rebuilds the
-	// tables. Only the access paths install entries: invalidation
+	// table. Only the access paths install entries: invalidation
 	// victims are by definition not about to be accessed.
 	memo []blockMemo
 
@@ -284,22 +274,27 @@ func New(nprocs, nnodes int) *Observer {
 // Procs reports the processor count the observer was built for.
 func (o *Observer) Procs() int { return o.nprocs }
 
+// GrowPages extends the table to cover pages [0, n). Live events grow it
+// on demand; Restore accepts only blocks and pages it covers, so the
+// machine sizes an observer to its pages before restoring one.
+func (o *Observer) GrowPages(n int) { o.pages.Grow(n) }
+
+// pageRecord returns page's record, allocating it on first touch and
+// growing the table to cover it.
+func (o *Observer) pageRecord(page uint64) *sharePage {
+	if p := o.pages.Peek(page); p != nil {
+		return p
+	}
+	o.pages.Grow(int(page) + 1)
+	p := o.pages.Page(page)
+	if o.wide {
+		p.Head.hi = new([pagearray.BlocksPerPage]maskWords)
+	}
+	return p
+}
+
 func (o *Observer) block(block uint64) *blockState {
-	ci := block >> blockChunkShift
-	if ci >= uint64(len(o.blocks)) {
-		grown := make([]*blockChunk, ci+1)
-		copy(grown, o.blocks)
-		o.blocks = grown
-	}
-	c := o.blocks[ci]
-	if c == nil {
-		c = &blockChunk{blocks: make([]blockState, blockChunkSize)}
-		if o.wide {
-			c.hi = new(hiChunk)
-		}
-		o.blocks[ci] = c
-	}
-	return &c.blocks[block&blockChunkMask]
+	return o.pageRecord(block >> pagearray.PageBlockShift).Block(block)
 }
 
 // blockOf resolves a block through proc's memo.
@@ -318,26 +313,25 @@ func (o *Observer) blockOf(proc int, block uint64) *blockState {
 }
 
 // maskOf resolves where proc's presence bits live: the block's own mask
-// words for the first 64 processors, the chunk's wide array above. One
-// pointer plus a bit keeps the hooks width-agnostic at register cost.
+// words for the first 64 processors, the page head's wide array above.
+// One pointer plus a bit keeps the hooks width-agnostic at register cost.
 func (o *Observer) maskOf(block uint64, b *blockState, proc int) (*maskWords, uint64) {
 	if proc < 64 {
 		return &b.m, 1 << uint(proc)
 	}
-	h := o.blocks[block>>blockChunkShift].hi
-	return &h.m[block&blockChunkMask], 1 << uint(proc-64)
+	return o.hiOf(block), 1 << uint(proc-64)
+}
+
+// hiOf returns a resolved block's processor-64..127 masks on a wide
+// observer.
+func (o *Observer) hiOf(block uint64) *maskWords {
+	return &o.pages.Peek(block >> pagearray.PageBlockShift).Head.hi[block&(pagearray.BlocksPerPage-1)]
 }
 
 // anyLost reports whether any copy is watching (lost to invalidation
 // and not yet refilled) — the gate for write-sequence bookkeeping.
 func (o *Observer) anyLost(block uint64, b *blockState) bool {
-	if b.m.lost != 0 {
-		return true
-	}
-	if o.wide {
-		return o.blocks[block>>blockChunkShift].hi.m[block&blockChunkMask].lost != 0
-	}
-	return false
+	return b.m.lost != 0 || o.wide && o.hiOf(block).lost != 0
 }
 
 // watchRow returns the block's coherence-episode row: per-word write
@@ -615,9 +609,11 @@ func (o *Observer) applyMiss(proc int, block uint64, word int, write bool, class
 		// displaced. The directory is precise (evictions send
 		// replacement hints), so invalidations never target evicted
 		// copies and replacement is the only silent loss — which is why
-		// OnEvict/OnWriteback need not touch the block at all. A
-		// verdict still pending from the displaced residency settles
-		// false, as an eviction-time settlement would have.
+		// the observer has no eviction or writeback hook: evictions
+		// outnumber misses on cache-thrashing workloads, and these
+		// verdicts equal eviction-time bookkeeping. A verdict still
+		// pending from the displaced residency settles false, as an
+		// eviction-time settlement would have.
 		b.replacement++
 		o.dropPending(b, proc)
 	case m.everHeld&bit == 0:
@@ -662,12 +658,12 @@ func (o *Observer) applyMiss(proc int, block uint64, word int, write bool, class
 		if home >= 0 && home < len(o.nodeRemote) {
 			o.nodeRemote[home]++
 		}
-		p := o.pageOf(page)
-		if p.remote == 0 {
+		h := &o.pageRecord(page).Head
+		if h.remote == 0 {
 			o.npages++
 		}
-		p.home = home
-		p.remote++
+		h.home = home
+		h.remote++
 	}
 }
 
@@ -716,71 +712,26 @@ func (o *Observer) applyInvalidate(proc int, block uint64) {
 	m.everHeld |= bit
 }
 
-// OnDowngrade records proc's exclusive copy demoting to Shared on a
-// remote read. The copy survives, so nothing settles or is lost.
-func (o *Observer) OnDowngrade(proc int, block uint64) {}
-
-// OnEvict records proc's copy dying to capacity/conflict replacement
-// (clean victims; dirty victims arrive via OnWriteback). Deliberately a
-// no-op: the presence bit stays live, and the next demand miss on a
-// live bit classifies as a replacement — identical verdicts to
-// eviction-time bookkeeping, because the precise directory guarantees
-// no invalidation ever targets an evicted copy. Evictions outnumber
-// misses on cache-thrashing workloads, so not touching cold block state
-// here is a large share of the observer's run-time budget.
-func (o *Observer) OnEvict(proc int, block uint64) {}
-
-// OnWriteback records a dirty victim written back to its home — a
-// replacement loss, observed lazily exactly like OnEvict.
-func (o *Observer) OnWriteback(proc int, block uint64) {}
-
 // forEachBlock visits every touched block in ascending block order —
 // the canonical order Snap and Report rely on.
 func (o *Observer) forEachBlock(fn func(block uint64, b *blockState)) {
-	for ci := range o.blocks {
-		c := o.blocks[ci]
-		if c == nil {
-			continue
-		}
-		for i := range c.blocks {
-			b := &c.blocks[i]
-			t := b.touched()
-			if !t && c.hi != nil {
-				h := &c.hi.m[i]
-				t = h.readers|h.writers|h.everHeld != 0
-			}
-			if t {
-				fn(uint64(ci)<<blockChunkShift|uint64(i), b)
+	o.pages.ForEach(func(page uint64, p *sharePage) {
+		for i := range p.Blocks {
+			if b := &p.Blocks[i]; b.m.touched() || p.Head.hi != nil && p.Head.hi[i].touched() {
+				fn(pagearray.BlockOf(page, i), b)
 			}
 		}
-	}
+	})
 }
 
-func (o *Observer) pageOf(page uint64) *pageState {
-	ci := page >> blockChunkShift
-	if ci >= uint64(len(o.pages)) {
-		grown := make([][]pageState, ci+1)
-		copy(grown, o.pages)
-		o.pages = grown
-	}
-	c := o.pages[ci]
-	if c == nil {
-		c = make([]pageState, blockChunkSize)
-		o.pages[ci] = c
-	}
-	return &c[page&blockChunkMask]
-}
-
-// forEachPage visits every touched page in ascending page order.
-func (o *Observer) forEachPage(fn func(page uint64, p *pageState)) {
-	for ci := range o.pages {
-		c := o.pages[ci]
-		for i := range c {
-			if c[i].remote != 0 {
-				fn(uint64(ci)<<blockChunkShift|uint64(i), &c[i])
-			}
+// forEachPage visits every page with a remote miss in ascending page
+// order.
+func (o *Observer) forEachPage(fn func(page uint64, h *pageHead)) {
+	o.pages.ForEach(func(page uint64, p *sharePage) {
+		if p.Head.remote != 0 {
+			fn(page, &p.Head)
 		}
-	}
+	})
 }
 
 // hiMasks returns the processor-64..127 mask population (zero for
@@ -789,7 +740,7 @@ func (o *Observer) hiMasks(block uint64) maskWords {
 	if !o.wide {
 		return maskWords{}
 	}
-	return o.blocks[block>>blockChunkShift].hi.m[block&blockChunkMask]
+	return *o.hiOf(block)
 }
 
 // patternOf derives the block's classification from its accumulated

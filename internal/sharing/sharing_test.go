@@ -2,11 +2,14 @@ package sharing
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"origin2000/internal/memclass"
+	"origin2000/internal/pagearray"
 )
 
 // findBlock returns the report entry for one block.
@@ -76,7 +79,6 @@ func TestPatternMigratory(t *testing.T) {
 		}
 		// Read miss: 3-hop, downgrades the previous owner (who keeps a
 		// Shared copy).
-		o.OnDowngrade(prev, blk)
 		o.OnMiss(proc, blk, word, false, memclass.RemoteDirty, 0, 0, 0)
 		// Write upgrade: invalidates exactly the previous owner's copy.
 		o.OnInvalidate(prev, blk)
@@ -104,7 +106,6 @@ func TestPatternProducerConsumer(t *testing.T) {
 	o.OnMiss(0, blk, 0, true, memclass.Local, 0, 0, 0)
 	for round := 0; round < 3; round++ {
 		for proc := 1; proc < 4; proc++ {
-			o.OnDowngrade(0, blk)
 			o.OnMiss(proc, blk, 0, false, memclass.RemoteDirty, 0, 0, 0)
 		}
 		for proc := 1; proc < 4; proc++ {
@@ -233,7 +234,6 @@ func TestSplitExactness(t *testing.T) {
 		}
 		o.OnInvalidate(1, blk)
 		o.OnUpgrade(0, blk, int(blk%WordsPerBlock), 1)
-		o.OnEvict(2, blk)
 		o.OnMiss(1, blk, 0, false, memclass.RemoteDirty, int(blk%2), blk>>7, 0)
 		o.OnMiss(2, blk, 0, false, memclass.Local, int(blk%2), blk>>7, 0)
 	}
@@ -284,7 +284,6 @@ func TestSnapRestoreRoundTrip(t *testing.T) {
 	o.OnInvalidate(1, 5)
 	o.OnMiss(0, 5, 0, false, memclass.RemoteDirty, 0, 0, 0) // pending
 	o.OnMiss(2, 6, 3, false, memclass.RemoteClean, 1, 0, 0)
-	o.OnEvict(2, 6)
 
 	sn := o.Snap()
 	data, err := json.Marshal(sn)
@@ -296,6 +295,7 @@ func TestSnapRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	o2 := New(4, 2)
+	o2.GrowPages(1)
 	if err := o2.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -319,4 +319,197 @@ func TestSnapRestoreRoundTrip(t *testing.T) {
 	if err := New(4, 4).Restore(decoded); err == nil {
 		t.Error("Restore accepted a snapshot with the wrong node count")
 	}
+}
+
+// TestRestoreRejectsBlockBeyondPages pins that a snapshot is outside
+// input: an observer sized to 4 pages refuses a block or a hotspot page
+// beyond them with an error naming it, instead of allocating toward it,
+// and accepts both on its last page.
+func TestRestoreRejectsBlockBeyondPages(t *testing.T) {
+	restore := func(blocks []BlockSnap, pages []PageSnap) error {
+		o := New(4, 2)
+		o.GrowPages(4)
+		return o.Restore(Snap{Procs: 4, Nodes: 2, NodeRemote: make([]int64, 2), Blocks: blocks, Pages: pages})
+	}
+	for _, blk := range []uint64{pagearray.BlockOf(4, 0), 1 << 36, 1 << 60} {
+		err := restore([]BlockSnap{{Block: pagearray.BlockOf(3, 1)}, {Block: blk}}, nil)
+		if want := fmt.Sprintf("block %#x ", blk); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Restore of block %#x: error %v, want one naming %q", blk, err, want)
+		}
+	}
+	err := restore(nil, []PageSnap{{Page: 3, Remote: 1}, {Page: 1 << 36, Home: 1, Remote: 1}})
+	if want := "page 0x1000000000 "; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Restore of page 1<<36: error %v, want one naming %q", err, want)
+	}
+	if err := restore([]BlockSnap{{Block: pagearray.BlockOf(3, 127)}}, []PageSnap{{Page: 3, Remote: 1}}); err != nil {
+		t.Errorf("Restore of a block and a page on the last sized page: %v", err)
+	}
+}
+
+// TestWideMachineClassifies runs the classifier on a 128-processor
+// machine, where processors 64..127 keep their presence bits in the page
+// head's wide masks: their reads, writes and invalidations must derive
+// the patterns and the true/false split that processors below 64 get,
+// and survive a Snap → Restore → Snap round trip with a verdict pending.
+func TestWideMachineClassifies(t *testing.T) {
+	o := New(128, 64)
+	// Producer-consumer on page 0: processor 100 writes word 0, then
+	// three rounds of 63 high readers re-reading it after its upgrade
+	// invalidates them all. Every reader's re-miss needs the new word.
+	const pc = 1
+	o.OnMiss(100, pc, 0, true, memclass.RemoteClean, 50, 0, 0)
+	for round := 0; round < 3; round++ {
+		for proc := 64; proc < 128; proc++ {
+			if proc != 100 {
+				o.OnMiss(proc, pc, 0, false, memclass.RemoteDirty, 50, 0, 0)
+			}
+		}
+		for proc := 64; proc < 128; proc++ {
+			if proc != 100 {
+				o.OnInvalidate(proc, pc)
+			}
+		}
+		o.OnUpgrade(100, pc, 0, 63)
+	}
+	// False sharing on page 1: processors 65 and 126 ping-pong one
+	// block writing disjoint words (126's first miss is cold).
+	fs := pagearray.BlockOf(1, 5)
+	o.OnMiss(65, fs, 0, true, memclass.Local, 0, 1, 0)
+	for round := 0; round < 10; round++ {
+		o.OnInvalidate(65, fs)
+		o.OnMiss(126, fs, 8, true, memclass.RemoteDirty, 0, 1, 1)
+		o.OnInvalidate(126, fs)
+		o.OnMiss(65, fs, 0, true, memclass.RemoteDirty, 0, 1, 1)
+	}
+	// True sharing on page 2 between a low and a high processor (120's
+	// first miss is cold).
+	ts := pagearray.BlockOf(2, 9)
+	o.OnMiss(3, ts, 4, true, memclass.Local, 1, 2, 0)
+	for round := 0; round < 5; round++ {
+		o.OnInvalidate(3, ts)
+		o.OnMiss(120, ts, 4, true, memclass.RemoteDirty, 1, 2, 1)
+		o.OnInvalidate(120, ts)
+		o.OnMiss(3, ts, 4, true, memclass.RemoteDirty, 1, 2, 1)
+	}
+	// Widely shared on page 2: four high readers, two writers, one
+	// write invalidating three copies.
+	ws := pagearray.BlockOf(2, 10)
+	for proc := 64; proc < 68; proc++ {
+		o.OnMiss(proc, ws, 0, false, memclass.RemoteClean, 1, 2, 0)
+	}
+	for _, victim := range []int{65, 66, 67} {
+		o.OnInvalidate(victim, ws)
+	}
+	o.OnUpgrade(64, ws, 0, 3)
+	o.OnInvalidate(64, ws)
+	o.OnMiss(65, ws, 0, true, memclass.RemoteDirty, 1, 2, 1)
+	// A verdict left pending across the round trip: processor 70
+	// re-misses on its own word after 71 wrote word 8.
+	pend := pagearray.BlockOf(2, 11)
+	o.OnMiss(70, pend, 0, true, memclass.Local, 1, 2, 0)
+	o.OnInvalidate(70, pend)
+	o.OnMiss(71, pend, 8, true, memclass.RemoteDirty, 1, 2, 1)
+	o.OnInvalidate(71, pend)
+	o.OnMiss(70, pend, 0, false, memclass.RemoteDirty, 1, 2, 0)
+
+	r := o.Report(0)
+	for _, c := range []struct {
+		block                            uint64
+		pattern                          string
+		readers, writers                 int
+		coherence, trueShare, falseShare int64
+	}{
+		{pc, "producer-consumer", 63, 1, 126, 126, 0},
+		{fs, "migratory", 0, 2, 19, 0, 19},
+		{ts, "migratory", 0, 2, 9, 9, 0},
+		{ws, "widely-shared", 4, 2, 1, 1, 0},
+		{pend, "migratory", 1, 2, 1, 0, 1},
+	} {
+		b := findBlock(t, r, c.block)
+		if b.Pattern != c.pattern || b.Readers != c.readers || b.Writers != c.writers {
+			t.Errorf("block %#x: %s with %d/%d rd/wr procs, want %s with %d/%d",
+				c.block, b.Pattern, b.Readers, b.Writers, c.pattern, c.readers, c.writers)
+		}
+		if b.Coherence != c.coherence || b.TrueSharing != c.trueShare || b.FalseSharing != c.falseShare {
+			t.Errorf("block %#x: coherence %d split true=%d false=%d, want %d split %d/%d",
+				c.block, b.Coherence, b.TrueSharing, b.FalseSharing, c.coherence, c.trueShare, c.falseShare)
+		}
+	}
+	if b := findBlock(t, r, pc); b.MaxFanout != 63 {
+		t.Errorf("producer-consumer max fanout = %d, want 63", b.MaxFanout)
+	}
+
+	data, err := json.Marshal(o.Snap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Snap
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	o2 := New(128, 64)
+	o2.GrowPages(3)
+	if err := o2.Restore(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(o.Snap(), o2.Snap()) {
+		t.Error("restored snapshot differs from original")
+	}
+	if !reflect.DeepEqual(o.Report(0), o2.Report(0)) {
+		t.Error("restored report differs from original")
+	}
+	for _, ob := range []*Observer{o, o2} {
+		ob.OnHit(70, pend, 8, false) // touches 71's word: settles true
+	}
+	if b := findBlock(t, o2.Report(0), pend); b.TrueSharing != 1 || b.FalseSharing != 0 {
+		t.Errorf("restored pending verdict settled true=%d false=%d, want 1/0", b.TrueSharing, b.FalseSharing)
+	}
+	if !reflect.DeepEqual(o.Report(0), o2.Report(0)) {
+		t.Error("post-restore settlement diverged")
+	}
+}
+
+// FuzzSharingRestore restores JSON-decoded snapshots into a common-width
+// and a wide observer, each sized to four pages. Restore must refuse bad
+// input with an error, never a panic, and an observer it accepted must
+// report and snapshot without panicking.
+func FuzzSharingRestore(f *testing.F) {
+	for _, procs := range [][3]int{{0, 1, 2}, {64, 65, 126}} {
+		o := New(procs[2]+2, 2)
+		o.OnMiss(procs[0], 5, 0, true, memclass.Local, 0, 0, 0)
+		o.OnInvalidate(procs[0], 5)
+		o.OnMiss(procs[1], 5, 8, true, memclass.RemoteDirty, 0, 0, 1)
+		o.OnInvalidate(procs[1], 5)
+		o.OnMiss(procs[0], 5, 0, false, memclass.RemoteDirty, 0, 0, 0) // pending
+		o.OnMiss(procs[2], pagearray.BlockOf(3, 9), 3, false, memclass.RemoteClean, 1, 3, 0)
+		seed := o.Snap()
+		seeds := []Snap{seed}
+		for _, blk := range []uint64{pagearray.BlockOf(4, 0), 1 << 36, 1 << 60} {
+			s := seed
+			s.Blocks = append(slices.Clone(seed.Blocks), BlockSnap{Block: blk})
+			seeds = append(seeds, s)
+		}
+		far := seed
+		far.Pages = append(slices.Clone(seed.Pages), PageSnap{Page: 1 << 36, Remote: 1})
+		for _, s := range append(seeds, far) {
+			data, err := json.Marshal(s)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snap
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		for _, o := range []*Observer{New(4, 2), New(128, 2)} {
+			o.GrowPages(4)
+			if o.Restore(s) == nil {
+				o.Report(0)
+				o.Snap()
+			}
+		}
+	})
 }

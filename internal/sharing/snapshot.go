@@ -5,6 +5,7 @@ import (
 
 	"origin2000/internal/directory"
 	"origin2000/internal/memclass"
+	"origin2000/internal/pagearray"
 )
 
 // CopySnap is one processor's copy record in a BlockSnap.
@@ -117,14 +118,16 @@ func (o *Observer) Snap() Snap {
 		}
 		s.Blocks = append(s.Blocks, bs)
 	})
-	o.forEachPage(func(pg uint64, p *pageState) {
-		s.Pages = append(s.Pages, PageSnap{Page: pg, Home: p.home, Remote: p.remote})
+	o.forEachPage(func(pg uint64, h *pageHead) {
+		s.Pages = append(s.Pages, PageSnap{Page: pg, Home: h.home, Remote: h.remote})
 	})
 	return s
 }
 
 // Restore overwrites the observer's state from a snapshot. The observer
-// must have been created for the same processor and node counts.
+// must have been created for the same processor and node counts and
+// sized (GrowPages) to the machine's pages; a block or page beyond them
+// is rejected rather than grown into.
 func (o *Observer) Restore(s Snap) error {
 	if s.Procs != o.nprocs {
 		return fmt.Errorf("sharing: snapshot has %d processors, observer has %d", s.Procs, o.nprocs)
@@ -136,15 +139,23 @@ func (o *Observer) Restore(s Snap) error {
 	copy(o.nodeRemote, s.NodeRemote)
 	// Unfolded events belong to the timeline being abandoned.
 	o.log = o.log[:0]
-	o.blocks = nil
+	o.pages.Reset()
+	o.npages = 0
+	// The memo holds pointers into the records just dropped.
+	clear(o.memo)
 	o.watch = make([]uint32, o.stride)
+	pages := uint64(o.pages.Len())
 	var zeroSeq [WordsPerBlock]uint32
 	for _, bs := range s.Blocks {
+		if page := bs.Block >> pagearray.PageBlockShift; page >= pages {
+			return fmt.Errorf("sharing: snapshot block %#x is on page %#x, beyond the machine's %d pages",
+				bs.Block, page, pages)
+		}
 		b := o.block(bs.Block)
 		b.page, b.home = uint32(bs.Page), int16(bs.Home)
 		b.m.readers, b.m.writers = bs.Readers[0], bs.Writers[0]
 		if o.wide {
-			h := &o.blocks[bs.Block>>blockChunkShift].hi.m[bs.Block&blockChunkMask]
+			h := o.hiOf(bs.Block)
 			h.readers, h.writers = bs.Readers[1], bs.Writers[1]
 		}
 		b.reads, b.writes = uint32(bs.Reads), uint32(bs.Writes)
@@ -193,15 +204,15 @@ func (o *Observer) Restore(s Snap) error {
 			}
 		}
 	}
-	o.pages, o.npages = nil, 0
 	for _, ps := range s.Pages {
-		p := o.pageOf(ps.Page)
-		if p.remote == 0 && ps.Remote != 0 {
+		if ps.Page >= pages {
+			return fmt.Errorf("sharing: snapshot page %#x is beyond the machine's %d pages", ps.Page, pages)
+		}
+		h := &o.pageRecord(ps.Page).Head
+		if h.remote == 0 && ps.Remote != 0 {
 			o.npages++
 		}
-		p.home, p.remote = ps.Home, ps.Remote
+		h.home, h.remote = ps.Home, ps.Remote
 	}
-	// The memo holds pointers into the tables just replaced.
-	o.memo = make([]blockMemo, o.nprocs)
 	return nil
 }
