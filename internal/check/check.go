@@ -314,12 +314,6 @@ func New(nprocs int, dir DirView) *Checker {
 	}
 }
 
-// GrowPages extends the mirrors to cover pages [0, n). Live events grow
-// them on demand, since the machine only reports blocks it allocated;
-// Restore accepts only blocks on covered pages, so the machine sizes a
-// checker to its pages before restoring one.
-func (c *Checker) GrowPages(n int) { c.mirrors.Grow(n) }
-
 // AttachCache registers processor p's cache for agreement checks.
 func (c *Checker) AttachCache(p int, ca *cache.Cache) { c.caches[p] = ca }
 

@@ -1,9 +1,9 @@
 package check
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -271,43 +271,40 @@ func TestHistoryPackRoundTrip(t *testing.T) {
 	(&ring{}).record(Event{Ver: maxHistVer + 1})
 }
 
-// TestRestoreRejectsBadHistory checks Restore refuses a block history that
-// live recording could not have left, naming the block, instead of
-// inventing or dropping events.
-func TestRestoreRejectsBadHistory(t *testing.T) {
-	ev := Event{Kind: EvReadHit, Proc: 1, At: 10, Ver: 3}
-	cases := []struct {
-		name  string
-		histN int
-		hist  []Event
-	}{
-		{"negative count", -1, []Event{ev}},
-		{"fewer events than recorded", 20, []Event{ev}},
-		{"more events than recorded", 1, []Event{ev, ev}},
-		{"processor below -1", 1, []Event{{Kind: EvEvict, Proc: -2}}},
-		{"processor beyond the machine", 1, []Event{{Kind: EvEvict, Proc: 2}}},
-		{"version beyond the packed field", 1, []Event{{Kind: EvWriteHit, Ver: maxHistVer + 1}}},
-	}
-	for _, c := range cases {
-		s := New(2, directory.New()).Snap()
-		s.Blocks = []BlockSnap{{Block: 0x2a, Owner: -1, HistN: c.histN, Hist: c.hist}}
-		if err := restorable(2).Restore(s); err == nil || !strings.Contains(err.Error(), "block 0x2a") {
-			t.Errorf("%s: Restore err = %v, want one naming block 0x2a", c.name, err)
-		}
-	}
-	// The edges of each rule restore and re-snap unchanged.
-	hist := make([]Event, ringSize)
-	for i := range hist {
-		hist[i] = Event{Kind: EventKind(i % 12), Proc: int16(i%3) - 1, At: sim.Time(i), Ver: maxHistVer - uint64(i)}
-	}
-	s := New(2, directory.New()).Snap()
-	s.Blocks = []BlockSnap{{Block: 0x2a, Owner: -1, HistN: 35, Hist: hist}}
-	c := restorable(2)
-	if err := c.Restore(s); err != nil {
+// TestSnapFrozenAtCapture: a snap keeps the state it captured while the
+// checker records on, so an in-memory checkpoint's checker section does
+// not drift to the end of the run. After the capture the captured block's
+// history ring wraps, a new block is mirrored, the clocks advance and a
+// violation is logged.
+func TestSnapFrozenAtCapture(t *testing.T) {
+	h := newHarness(2)
+	h.read(0, 4, 10)
+	h.write(1, 4, 20)
+	snap := h.ck.Snap()
+	want, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Snap().Blocks[0]; got.HistN != 35 || !slices.Equal(got.Hist, hist) {
-		t.Errorf("re-snap has %d events %v, want 35 %v", got.HistN, got.Hist, hist)
+	for i := 0; i < ringSize; i++ {
+		h.write(i%2, 4, sim.Time(30+i))
+	}
+	h.read(0, 5, 60)
+	// p1 fills a copy the directory never granted.
+	h.cas[1].Fill(9, cache.Shared)
+	h.ck.OnFill(1, 9, false, 70)
+	h.ck.OnTxnEnd(1, 9, 70)
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.ck.Violations()) == 0 {
+		t.Fatal("the ungranted fill logged no violation")
+	}
+	if now, _ := json.Marshal(h.ck.Snap()); string(now) == string(want) {
+		t.Fatal("recording after the capture left the checker's state unchanged")
+	}
+	if string(got) != string(want) {
+		t.Errorf("snap changed after capture:\nat capture %s\nnow        %s", want, got)
 	}
 }
 
@@ -380,37 +377,4 @@ func BenchmarkCheckerEvents(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(h.ck.Events())/float64(b.N), "events/op")
-}
-
-// restorable returns a checker sized, as the machine sizes one it
-// restores, to cover the pages the tests' snapshots name.
-func restorable(nprocs int) *Checker {
-	c := New(nprocs, directory.New())
-	c.GrowPages(4)
-	return c
-}
-
-// TestRestoreRejectsBlockBeyondPages: a snapshot block beyond the pages
-// the checker covers fails Restore, naming the block, instead of growing
-// the mirrors to reach it.
-func TestRestoreRejectsBlockBeyondPages(t *testing.T) {
-	for _, blk := range []uint64{4 * pagearray.BlocksPerPage, 1 << 60} {
-		s := New(2, directory.New()).Snap()
-		s.Blocks = []BlockSnap{{Block: blk, Owner: -1}}
-		if err := restorable(2).Restore(s); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %#x", blk)) {
-			t.Errorf("block %#x: Restore err = %v, want one naming the block", blk, err)
-		}
-	}
-}
-
-// TestRestoreRejectsOutOfRangeHolder checks a snapshot naming a holder
-// outside the machine fails Restore instead of corrupting the mirror.
-func TestRestoreRejectsOutOfRangeHolder(t *testing.T) {
-	for _, p := range []int{-1, 2, 1 << 16} {
-		s := New(2, directory.New()).Snap()
-		s.Blocks = []BlockSnap{{Block: 4, Owner: -1, Held: []LineSnap{{Proc: p, State: cache.Shared}}}}
-		if err := restorable(2).Restore(s); err == nil || !strings.Contains(err.Error(), "processor") {
-			t.Errorf("holder p%d: Restore err = %v", p, err)
-		}
-	}
 }

@@ -8,12 +8,8 @@ import (
 	"runtime"
 	"sort"
 
-	"origin2000/internal/check"
-	"origin2000/internal/metrics"
-	"origin2000/internal/sharing"
 	"origin2000/internal/sim"
 	"origin2000/internal/snapshot"
-	"origin2000/internal/trace"
 )
 
 // Checkpoint capture and replay-based resume (DESIGN.md §13).
@@ -23,12 +19,10 @@ import (
 // entire observable state is a pure function of the deterministic schedule
 // prefix, so it can be serialized (capture) or compared against a prior
 // serialization (resume proof). Goroutine stacks are not serializable, so
-// resume re-executes the prefix with observers muted — they are not
-// constructed, and every observer call site is already nil-gated — then at
-// the recorded quiescent point proves byte equality of the simulation
-// sections, restores the observer sections into freshly built observers,
-// and unmutes. The simulated schedule never depends on observer presence
-// (see shard.go), so the muted prefix is bit-identical to the recorded one.
+// resume re-executes the prefix with the run's observers built and
+// recording, as on any run, and at the recorded quiescent point proves
+// byte equality of every section but the header: the simulation state and
+// each observer's state alike. Nothing is written back from the snapshot.
 
 // ErrStopped is the panic value the quiescent hook raises when a run
 // reaches Checkpoint.StopAtSeq. Drivers that set StopAtSeq recover it; it
@@ -96,8 +90,8 @@ func (m *Machine) initCheckpoint() {
 	// refuse a different machine. Stamping applies on resume too — the
 	// drivers validated hash equality first, and captures continuing past
 	// the resume point must byte-match the uninterrupted run's. (The
-	// resume proof itself compares simulation-state sections only, so
-	// snapshots written before scenario fields existed still prove equal.)
+	// resume proof skips the header, so snapshots written before scenario
+	// fields existed still prove equal.)
 	if ck.Spec.ScenarioHash == "" {
 		ck.Spec.ScenarioHash = m.cfg.ScenarioHash()
 		if ck.Spec.Scenario == "" {
@@ -124,8 +118,8 @@ func (m *Machine) Checkpoints() []string {
 	return m.ckpt.written
 }
 
-// Resuming reports whether the machine is still replaying toward a resume
-// point with observers muted.
+// Resuming reports whether the machine is still replaying toward its
+// resume point; a run that ends while it is never reached that point.
 func (m *Machine) Resuming() bool { return m.ckpt != nil && m.ckpt.resume != nil }
 
 // onQuiescent is the engine's quiescent hook: it drives resume proof,
@@ -152,9 +146,6 @@ func (m *Machine) onQuiescent(seq int64, minNow sim.Time, quiet bool) {
 		if sec, ok := snapshot.ProveEqual(live, rs); !ok {
 			panic(&snapshot.DivergenceError{Section: sec, Seq: seq, At: minNow,
 				Msg: "replayed state does not match the snapshot"})
-		}
-		if err := m.unmute(rs); err != nil {
-			panic(&snapshot.DivergenceError{Section: "header", Seq: seq, At: minNow, Msg: err.Error()})
 		}
 		ck.resume = nil
 		if ck.every > 0 {
@@ -312,71 +303,6 @@ func (m *Machine) emit(s *snapshot.Snapshot) error {
 	ck.count++
 	if ck.sink != nil {
 		return ck.sink(s)
-	}
-	return nil
-}
-
-// unmute builds the run's observers at the resume point and restores their
-// recorded state. The configuration's observer set must match the
-// snapshot's: a checked run cannot resume from an unchecked snapshot or
-// vice versa — the observers would have missed the prefix.
-func (m *Machine) unmute(rs *snapshot.Snapshot) error {
-	cfg := &m.cfg
-	if cfg.Check != (rs.Checker != nil) {
-		return fmt.Errorf("core: resume: run has Check=%v but snapshot checker section present=%v",
-			cfg.Check, rs.Checker != nil)
-	}
-	if cfg.Trace.Enabled != (rs.Tracer != nil) {
-		return fmt.Errorf("core: resume: run has Trace.Enabled=%v but snapshot tracer section present=%v",
-			cfg.Trace.Enabled, rs.Tracer != nil)
-	}
-	if cfg.Metrics.Enabled != (rs.Metrics != nil) {
-		return fmt.Errorf("core: resume: run has Metrics.Enabled=%v but snapshot metrics section present=%v",
-			cfg.Metrics.Enabled, rs.Metrics != nil)
-	}
-	if cfg.Sharing.Enabled != (rs.Sharing != nil) {
-		return fmt.Errorf("core: resume: run has Sharing.Enabled=%v but snapshot sharing section present=%v",
-			cfg.Sharing.Enabled, rs.Sharing != nil)
-	}
-	if cfg.Check {
-		ck := check.New(cfg.Procs, &multiDir{m: m})
-		for i, p := range m.procs {
-			ck.AttachCache(i, p.cache)
-		}
-		ck.GrowPages(m.numPages())
-		if err := ck.Restore(*rs.Checker); err != nil {
-			return err
-		}
-		m.check = ck
-	}
-	if cfg.Trace.Enabled {
-		tr := trace.New(cfg.Procs, cfg.Trace)
-		shardOf := make([]int, cfg.Procs)
-		for i, p := range m.procs {
-			shardOf[i] = p.router
-		}
-		tr.SetShards(shardOf, m.numRouters)
-		tr.GrowPages(m.numPages())
-		if err := tr.Restore(*rs.Tracer); err != nil {
-			return err
-		}
-		m.tracer = tr
-		m.attachTracer()
-	}
-	if cfg.Metrics.Enabled {
-		sm := metrics.New(cfg.Procs, cfg.Metrics)
-		if err := sm.Restore(*rs.Metrics); err != nil {
-			return err
-		}
-		m.sampler = sm
-	}
-	if cfg.Sharing.Enabled {
-		sh := sharing.New(cfg.Procs, m.numNodes)
-		sh.GrowPages(m.numPages())
-		if err := sh.Restore(*rs.Sharing); err != nil {
-			return err
-		}
-		m.sharing = sh
 	}
 	return nil
 }

@@ -228,10 +228,11 @@ type CheckpointConfig struct {
 	// Sink, when set, receives every captured snapshot (after Dir, if both
 	// are set). A Sink error aborts the run. Not serializable.
 	Sink func(*snapshot.Snapshot) error `json:"-"`
-	// Resume, when set, makes the machine re-execute deterministically with
-	// observers muted until the snapshot's quiescent point, prove state
-	// equality byte-for-byte, restore observer state, and continue. Not
-	// serializable.
+	// Resume, when set, makes the machine re-execute deterministically, its
+	// observers recording as on any run, until the snapshot's quiescent
+	// point, prove every section but the header equal byte for byte, and
+	// continue. The configured observers must be the snapshot's
+	// (experiments.ValidateResume refuses a mismatch). Not serializable.
 	Resume *snapshot.Snapshot `json:"-"`
 }
 

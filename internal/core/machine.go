@@ -126,22 +126,17 @@ func New(cfg Config) *Machine {
 	if len(m.mapping) != cfg.Procs || !m.mapping.Valid() {
 		panic("core: mapping must be a permutation of the processor ids")
 	}
-	// A resuming machine replays the prefix with observers muted: they are
-	// not constructed here, and every observer call site is nil-gated, so
-	// the replayed schedule is the recorded one. The resume proof rebuilds
-	// and restores them at the recorded quiescent point (see unmute).
-	resuming := cfg.Checkpoint.Resume != nil
-	if cfg.Check && !resuming {
+	if cfg.Check {
 		m.check = check.New(cfg.Procs, &multiDir{m: m})
 	}
-	if cfg.Trace.Enabled && !resuming {
+	if cfg.Trace.Enabled {
 		m.tracer = trace.New(cfg.Procs, cfg.Trace)
 		m.attachTracer()
 	}
-	if cfg.Metrics.Enabled && !resuming {
+	if cfg.Metrics.Enabled {
 		m.sampler = metrics.New(cfg.Procs, cfg.Metrics)
 	}
-	if cfg.Sharing.Enabled && !resuming {
+	if cfg.Sharing.Enabled {
 		m.sharing = sharing.New(cfg.Procs, numNodes)
 	}
 	m.procs = make([]*Proc, cfg.Procs)
@@ -162,12 +157,7 @@ func New(cfg Config) *Machine {
 	}
 	m.setupShards()
 	// The host-time profiler sizes its lanes from the engine's final worker
-	// count, so it attaches after setupShards. Both it and the critical-path
-	// recorder are built even when resuming: neither can perturb the
-	// schedule (hostprof records host time one-way, critpath records
-	// virtual-time data inside the serialized barrier protocol), so — unlike
-	// the muted observers above — the replayed prefix profiles and records
-	// like any other run.
+	// count, so it attaches after setupShards.
 	if cfg.HostProf {
 		m.hprof = hostprof.New(m.eng.Workers())
 		m.eng.SetHostProfiler(m.hprof)

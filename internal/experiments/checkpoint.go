@@ -73,7 +73,10 @@ func (s Scale) RunCheckpointed(app workload.App, procs int, params workload.Para
 
 // ValidateResume checks a snapshot against the configuration that wants to
 // resume it, before any replay work happens. The processor count must
-// match, and a snapshot whose run had its worker count forced to one by an
+// match, and so must the observers: the replay rebuilds each enabled
+// observer's section and proves it equal, so a configuration that enables
+// an observer the snapshot has no section for, or the reverse, could never
+// resume. A snapshot whose run had its worker count forced to one by an
 // observer may not be resumed with more workers requested — the request
 // could not be honored, so it errors loudly instead.
 func ValidateResume(cfg *core.Config, sn *snapshot.Snapshot) error {
@@ -84,8 +87,22 @@ func ValidateResume(cfg *core.Config, sn *snapshot.Snapshot) error {
 		return fmt.Errorf("experiments: resume: configuration has %d processors, snapshot has %d",
 			cfg.Procs, sn.Header.Procs)
 	}
+	for _, o := range []struct {
+		name, section string
+		on, present   bool
+	}{
+		{"checker", "checker", cfg.Check, sn.Checker != nil},
+		{"tracer", "tracer", cfg.Trace.Enabled, sn.Tracer != nil},
+		{"metrics sampler", "metrics", cfg.Metrics.Enabled, sn.Metrics != nil},
+		{"sharing classifier", "sharing", cfg.Sharing.Enabled, sn.Sharing != nil},
+	} {
+		if o.on != o.present {
+			return fmt.Errorf("experiments: resume: the configuration has the %s enabled=%v but the snapshot's %q section present=%v; "+
+				"resume with the observers the snapshot was captured with", o.name, o.on, o.section, o.present)
+		}
+	}
 	if sn.Header.WorkersForced && cfg.Workers > 1 {
-		return fmt.Errorf("experiments: resume: snapshot's run forced workers=1 (checker or sampler enabled) "+
+		return fmt.Errorf("experiments: resume: snapshot's run forced workers=1 (checker, metrics sampler or sharing classifier enabled) "+
 			"but the resume requests %d workers; rerun with -workers 1 or unset", cfg.Workers)
 	}
 	// Cross-scenario resume refusal: the replay re-executes on the
@@ -109,9 +126,10 @@ func ValidateResume(cfg *core.Config, sn *snapshot.Snapshot) error {
 	return nil
 }
 
-// ResumeRun re-executes app from the start with observers muted, proves
-// state equality at sn's quiescent point, restores the observers, and runs
-// to completion. A failed proof surfaces as a *snapshot.DivergenceError.
+// ResumeRun re-executes app from the start with its observers recording,
+// proves every section but the header equal at sn's quiescent point, and
+// runs to completion. A failed proof surfaces as a
+// *snapshot.DivergenceError.
 func (s Scale) ResumeRun(app workload.App, procs int, params workload.Params, sn *snapshot.Snapshot) (RunResult, error) {
 	cfg := s.Machine(procs)
 	cfg.Checkpoint.Spec = s.RunSpec(app, params)

@@ -4,18 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"origin2000/internal/core"
+	"origin2000/internal/metrics"
 	"origin2000/internal/sim"
 	"origin2000/internal/snapshot"
+	"origin2000/internal/trace"
 	"origin2000/internal/workload"
 )
 
 // The refusal and bisection tier of the checkpoint conformance suite
-// (DESIGN.md §13): a tampered snapshot or a mismatched worker request must
-// fail loudly, and bisection must find a seeded fault's window. Resume
+// (DESIGN.md §13): a tampered snapshot, or a mismatched observer set or
+// worker request, must fail loudly, and bisection must find a seeded
+// fault's window. Resume
 // equivalence itself is the contract suite's (contract_test.go). The
 // scale matches it (Div 64, 32 processors).
 
@@ -30,61 +34,152 @@ func ckptParams(t *testing.T, appName string) (workload.App, workload.Params) {
 	return app, s.Params(app, app.BasicSize(), "")
 }
 
-// TestResumeDivergenceDetected tampers with a snapshot's simulation state;
-// the resume proof must fail with a DivergenceError naming the section
-// rather than continue from wrong state.
-func TestResumeDivergenceDetected(t *testing.T) {
+// observedCapture runs FFT at the conformance scale with the checker,
+// tracer, metrics sampler and sharing classifier all on, and stops it at
+// its first checkpoint, 4 ms in (the run takes about 32 ms). It returns
+// the scale, the run and that snapshot.
+func observedCapture(t *testing.T) (Scale, workload.App, workload.Params, *snapshot.Snapshot) {
+	t.Helper()
 	app, params := ckptParams(t, "FFT")
-	s := Scale{Div: 64, CacheDiv: 64}
-	straight, err := s.Run(app, 32, params)
-	if err != nil {
+	s := Scale{Div: 64, CacheDiv: 64, Check: true, Trace: trace.Options{Enabled: true},
+		Metrics: metrics.Options{Enabled: true}, Sharing: true}
+	cfg := s.Machine(32)
+	cfg.Checkpoint.Every = 4 * sim.Millisecond
+	cfg.Checkpoint.Spec = s.RunSpec(app, params)
+	// The sink's ErrStopped ends the run as StopAtSeq would, which replay
+	// treats as success.
+	var sn *snapshot.Snapshot
+	cfg.Checkpoint.Sink = func(first *snapshot.Snapshot) error {
+		sn = first
+		return core.ErrStopped
+	}
+	if _, err := s.replay(app, cfg, params); err != nil {
 		t.Fatal(err)
 	}
-	_, snaps, err := s.RunCheckpointed(app, 32, params, straight.Elapsed/2, "")
-	if err != nil {
-		t.Fatal(err)
+	if sn == nil {
+		t.Fatal("no snapshot captured")
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots captured")
+	return s, app, params, sn
+}
+
+// TestResumeDivergenceDetected tampers with one field of one section of a
+// snapshot whose run had every observer on: the simulation state, or any
+// observer's. The resume replays the prefix with the observers recording,
+// so the proof must fail at the snapshot's quiescent point with a
+// DivergenceError naming that section rather than continue from state the
+// replay did not reproduce.
+func TestResumeDivergenceDetected(t *testing.T) {
+	s, app, params, orig := observedCapture(t)
+	// Each case tampers with a shallow copy of the snapshot, copying what
+	// it changes, so the cases share the captured state untouched.
+	for _, c := range []struct {
+		name, section string
+		tamper        func(*snapshot.Snapshot)
+	}{
+		{"caches", "caches", func(sn *snapshot.Snapshot) {
+			sn.Caches = slices.Clone(sn.Caches)
+			sn.Caches[3].Clock += 17
+		}},
+		{"checker", "checker", func(sn *snapshot.Snapshot) {
+			ck := *sn.Checker
+			ck.Events++
+			sn.Checker = &ck
+		}},
+		{"tracer", "tracer", func(sn *snapshot.Snapshot) {
+			tr := *sn.Tracer
+			tr.Rings = slices.Clone(tr.Rings)
+			tr.Rings[5].N++
+			sn.Tracer = &tr
+		}},
+		{"metrics", "metrics", func(sn *snapshot.Snapshot) {
+			ms := *sn.Metrics
+			ms.MachNext++
+			sn.Metrics = &ms
+		}},
+		{"sharing", "sharing", func(sn *snapshot.Snapshot) {
+			sh := *sn.Sharing
+			sh.NodeRemote = slices.Clone(sh.NodeRemote)
+			sh.NodeRemote[0]++
+			sn.Sharing = &sh
+		}},
+		// Versions before the dense heat index kept heat per shard: the
+		// same heat with the page entries in another shard's bucket. The
+		// proof refuses that layout rather than fold it.
+		{"tracer heat in per-shard layout", "tracer", func(sn *snapshot.Snapshot) {
+			tr := *sn.Tracer
+			tr.Buckets = slices.Clone(tr.Buckets)
+			tr.Buckets[0].Pages, tr.Buckets[1].Pages = nil, tr.Buckets[0].Pages
+			sn.Tracer = &tr
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sn := *orig
+			c.tamper(&sn)
+			_, err := s.ResumeRun(app, 32, params, &sn)
+			div, ok := err.(*snapshot.DivergenceError)
+			if !ok {
+				t.Fatalf("tampered resume returned %T (%v), want *snapshot.DivergenceError", err, err)
+			}
+			if div.Section != c.section {
+				t.Errorf("divergence reported in section %q, want %s", div.Section, c.section)
+			}
+			if div.Seq != sn.Header.QuiesSeq {
+				t.Errorf("divergence at seq %d, want the snapshot's quiescent point %d", div.Seq, sn.Header.QuiesSeq)
+			}
+		})
 	}
-	sn := snaps[0]
-	sn.Caches[3].Clock += 17
-	_, err = s.ResumeRun(app, 32, params, sn)
-	div, ok := err.(*snapshot.DivergenceError)
-	if !ok {
-		t.Fatalf("tampered resume returned %T (%v), want *snapshot.DivergenceError", err, err)
-	}
-	if div.Section != "caches" {
-		t.Errorf("divergence reported in section %q, want caches", div.Section)
-	}
-	if div.Seq != sn.Header.QuiesSeq {
-		t.Errorf("divergence at seq %d, want the snapshot's quiescent point %d", div.Seq, sn.Header.QuiesSeq)
+}
+
+// TestResumeRefusesObserverMismatch: a resume whose configuration enables
+// an observer the snapshot has no section for, or leaves off one it has,
+// is refused by ValidateResume, naming the observer, before any machine is
+// built.
+func TestResumeRefusesObserverMismatch(t *testing.T) {
+	s, app, params, sn := observedCapture(t)
+	for _, c := range []struct {
+		name string
+		off  func(*Scale, *snapshot.Snapshot)
+	}{
+		{"checker", func(s *Scale, sn *snapshot.Snapshot) { s.Check, sn.Checker = false, nil }},
+		{"tracer", func(s *Scale, sn *snapshot.Snapshot) { s.Trace.Enabled, sn.Tracer = false, nil }},
+		{"metrics sampler", func(s *Scale, sn *snapshot.Snapshot) { s.Metrics.Enabled, sn.Metrics = false, nil }},
+		{"sharing classifier", func(s *Scale, sn *snapshot.Snapshot) { s.Sharing, sn.Sharing = false, nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			off, dropped := s, *sn
+			c.off(&off, &dropped)
+			for _, r := range []struct {
+				what string
+				s    Scale
+				sn   *snapshot.Snapshot
+			}{
+				{"configuration without it", off, sn},
+				{"snapshot without it", s, &dropped},
+			} {
+				built := false
+				r.s.OnMachine = func(string, *core.Machine) { built = true }
+				_, err := r.s.ResumeRun(app, 32, params, r.sn)
+				if err == nil || !strings.Contains(err.Error(), c.name) {
+					t.Errorf("%s: resume err = %v, want a refusal naming the %s", r.what, err, c.name)
+				}
+				if built {
+					t.Errorf("%s: a machine was built before the refusal", r.what)
+				}
+			}
+		})
 	}
 }
 
 // TestResumeWorkersMismatch: a snapshot from a run whose worker count was
-// forced to one (checker on) must refuse a resume that requests more
-// workers, loudly, before any replay happens.
+// forced to one (the checker, sampler and classifier are on) must refuse a
+// resume that requests more workers, loudly, before any replay happens.
 func TestResumeWorkersMismatch(t *testing.T) {
-	app, params := ckptParams(t, "FFT")
-	s := Scale{Div: 64, CacheDiv: 64, Check: true}
-	straight, err := s.Run(app, 32, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, snaps, err := s.RunCheckpointed(app, 32, params, straight.Elapsed/2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots captured")
-	}
-	sn := snaps[0]
+	s, app, params, sn := observedCapture(t)
 	if !sn.Header.WorkersForced {
-		t.Fatal("checked run's snapshot does not record the workers=1 forcing")
+		t.Fatal("observed run's snapshot does not record the workers=1 forcing")
 	}
-	rs := Scale{Div: 64, CacheDiv: 64, Engine: "parallel", Workers: 8, Check: true}
-	_, err = rs.ResumeRun(app, 32, params, sn)
+	s.Engine, s.Workers = "parallel", 8
+	_, err := s.ResumeRun(app, 32, params, sn)
 	if err == nil {
 		t.Fatal("resume with 8 workers of a forced-single-worker snapshot succeeded")
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -218,5 +219,33 @@ func TestReportRows(t *testing.T) {
 		if len(render) < 1 || len(render[0]) < 2 {
 			t.Errorf("degenerate table: %+v", render)
 		}
+	}
+}
+
+// TestSnapFrozenAtCapture: a snap keeps the state it captured while the
+// sampler records on, so an in-memory checkpoint's metrics section does
+// not drift to the end of the run.
+func TestSnapFrozenAtCapture(t *testing.T) {
+	s := New(2, Options{Enabled: true, Interval: 100})
+	s.RecordProc(0, ProcSample{At: 120, Epoch: 1})
+	s.RecordMachine(MachineSample{At: 130, Epoch: 1})
+	s.EpochMark(130)
+	snap := s.Snap()
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		s.RecordProc(p, ProcSample{At: 340, Epoch: 3, Busy: 7})
+	}
+	s.RecordMachine(MachineSample{At: 350, Epoch: 3})
+	s.RecordFinal(MachineSample{At: 400, Epoch: 4})
+	s.EpochMark(400)
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("snap changed after capture:\nat capture %s\nnow        %s", want, got)
 	}
 }

@@ -1,14 +1,10 @@
 package metrics
 
-import (
-	"fmt"
-
-	"origin2000/internal/sim"
-)
+import "origin2000/internal/sim"
 
 // Snap is the sampler's full serializable state: the recorded series, the
-// epoch marks, and the grid cursors, so a restored sampler continues
-// sampling exactly where the original would have.
+// epoch marks, and the grid cursors. A resumed run rebuilds it by replaying
+// the prefix, and the resume proof compares it byte for byte.
 type Snap struct {
 	ProcNext []sim.Time      `json:"proc_next"`
 	MachNext sim.Time        `json:"mach_next"`
@@ -17,28 +13,16 @@ type Snap struct {
 	Epochs   []sim.Time      `json:"epochs,omitempty"`
 }
 
-// Snap captures the sampler's state.
+// Snap captures the sampler's state. The cursors and the outer series
+// slice are copied, because recording rewrites them in place; every series
+// is append-only, so the copied slice headers keep the snap frozen at
+// capture however long the sampler runs on.
 func (s *Sampler) Snap() Snap {
 	return Snap{
-		ProcNext: s.procNext,
+		ProcNext: append([]sim.Time(nil), s.procNext...),
 		MachNext: s.machNext,
-		PerProc:  s.perProc,
+		PerProc:  append([][]ProcSample(nil), s.perProc...),
 		Machine:  s.machine,
 		Epochs:   s.epochs,
 	}
-}
-
-// Restore overwrites the sampler's state from a snapshot. The sampler must
-// have been created for the same processor count and interval.
-func (s *Sampler) Restore(sn Snap) error {
-	if len(sn.ProcNext) != len(s.procNext) || len(sn.PerProc) != len(s.perProc) {
-		return fmt.Errorf("metrics: snapshot covers %d processors, sampler has %d",
-			len(sn.ProcNext), len(s.procNext))
-	}
-	copy(s.procNext, sn.ProcNext)
-	s.machNext = sn.MachNext
-	copy(s.perProc, sn.PerProc)
-	s.machine = sn.Machine
-	s.epochs = sn.Epochs
-	return nil
 }

@@ -100,8 +100,5 @@ func (a *Array[H, B]) ForEach(fn func(page uint64, pg *Page[H, B])) {
 	}
 }
 
-// Reset forgets every page record and keeps the array's length.
-func (a *Array[H, B]) Reset() { clear(a.pages) }
-
 // BlockOf returns the number of slot i of page.
 func BlockOf(page uint64, i int) uint64 { return page<<PageBlockShift | uint64(i) }

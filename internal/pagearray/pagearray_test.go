@@ -26,10 +26,6 @@ func TestArrayIndexesPagesDirectly(t *testing.T) {
 	if fmt.Sprint(visited) != "[1 3]" {
 		t.Errorf("ForEach visited %v, want [1 3]", visited)
 	}
-	a.Reset()
-	if a.Len() != 4 || a.Peek(3) != nil {
-		t.Errorf("Reset: Len %d, page 3 %v; want 4 pages, none touched", a.Len(), a.Peek(3))
-	}
 }
 
 func TestPageBeyondSizePanicsNamingIt(t *testing.T) {

@@ -220,9 +220,9 @@ type Observer struct {
 	// granularity access runs hit the same block dozens of times in a
 	// row, and the block-table walk was the fold's dominant cost.
 	// The cached pointers are stable (page records never move once
-	// allocated), so the memo only resets when Restore rebuilds the
-	// table. Only the access paths install entries: invalidation
-	// victims are by definition not about to be accessed.
+	// allocated), so the memo never resets. Only the access paths
+	// install entries: invalidation victims are by definition not about
+	// to be accessed.
 	memo []blockMemo
 
 	// log is the capture buffer: packed event records appended by the
@@ -273,11 +273,6 @@ func New(nprocs, nnodes int) *Observer {
 
 // Procs reports the processor count the observer was built for.
 func (o *Observer) Procs() int { return o.nprocs }
-
-// GrowPages extends the table to cover pages [0, n). Live events grow it
-// on demand; Restore accepts only blocks and pages it covers, so the
-// machine sizes an observer to its pages before restoring one.
-func (o *Observer) GrowPages(n int) { o.pages.Grow(n) }
 
 // pageRecord returns page's record, allocating it on first touch and
 // growing the table to cover it.

@@ -1,11 +1,8 @@
 package sharing
 
 import (
-	"fmt"
-
 	"origin2000/internal/directory"
 	"origin2000/internal/memclass"
-	"origin2000/internal/pagearray"
 )
 
 // CopySnap is one processor's copy record in a BlockSnap.
@@ -122,97 +119,4 @@ func (o *Observer) Snap() Snap {
 		s.Pages = append(s.Pages, PageSnap{Page: pg, Home: h.home, Remote: h.remote})
 	})
 	return s
-}
-
-// Restore overwrites the observer's state from a snapshot. The observer
-// must have been created for the same processor and node counts and
-// sized (GrowPages) to the machine's pages; a block or page beyond them
-// is rejected rather than grown into.
-func (o *Observer) Restore(s Snap) error {
-	if s.Procs != o.nprocs {
-		return fmt.Errorf("sharing: snapshot has %d processors, observer has %d", s.Procs, o.nprocs)
-	}
-	if s.Nodes != o.nnodes || len(s.NodeRemote) != o.nnodes {
-		return fmt.Errorf("sharing: snapshot has %d nodes (%d counters), observer has %d",
-			s.Nodes, len(s.NodeRemote), o.nnodes)
-	}
-	copy(o.nodeRemote, s.NodeRemote)
-	// Unfolded events belong to the timeline being abandoned.
-	o.log = o.log[:0]
-	o.pages.Reset()
-	o.npages = 0
-	// The memo holds pointers into the records just dropped.
-	clear(o.memo)
-	o.watch = make([]uint32, o.stride)
-	pages := uint64(o.pages.Len())
-	var zeroSeq [WordsPerBlock]uint32
-	for _, bs := range s.Blocks {
-		if page := bs.Block >> pagearray.PageBlockShift; page >= pages {
-			return fmt.Errorf("sharing: snapshot block %#x is on page %#x, beyond the machine's %d pages",
-				bs.Block, page, pages)
-		}
-		b := o.block(bs.Block)
-		b.page, b.home = uint32(bs.Page), int16(bs.Home)
-		b.m.readers, b.m.writers = bs.Readers[0], bs.Writers[0]
-		if o.wide {
-			h := o.hiOf(bs.Block)
-			h.readers, h.writers = bs.Readers[1], bs.Writers[1]
-		}
-		b.reads, b.writes = uint32(bs.Reads), uint32(bs.Writes)
-		for c := range bs.Misses {
-			b.misses[c] = uint32(bs.Misses[c])
-		}
-		b.cold, b.replacement = uint32(bs.Cold), uint32(bs.Replacement)
-		b.trueShare, b.falseShare = uint32(bs.TrueShare), uint32(bs.FalseShare)
-		b.lastWriter, b.ownerChanges = bs.LastWriter+1, uint32(bs.OwnerChanges)
-		b.invals, b.maxFanout = uint32(bs.Invals), int16(bs.MaxFanout)
-		b.seq, b.wordsWritten = bs.Seq, bs.WordsWritten
-		needRow := bs.Seq != 0 || bs.WordSeq != zeroSeq
-		for _, cs := range bs.Copies {
-			if cs.Proc < 0 || cs.Proc >= o.nprocs {
-				return fmt.Errorf("sharing: snapshot block %#x has copy for processor %d of %d",
-					bs.Block, cs.Proc, o.nprocs)
-			}
-			if cs.LossSeq != 0 || cs.Pending || cs.PendingMask != 0 || cs.LostToInval {
-				needRow = true
-			}
-		}
-		var ls, pw []uint32
-		if needRow {
-			o.ensureRow(b)
-			var ws []uint32
-			ws, ls, pw = o.watchRow(b.wordSeqID)
-			copy(ws, bs.WordSeq[:])
-		}
-		for _, cs := range bs.Copies {
-			m, bit := o.maskOf(bs.Block, b, cs.Proc)
-			if cs.Live {
-				m.live |= bit
-			}
-			if cs.EverHeld {
-				m.everHeld |= bit
-			}
-			if cs.LostToInval {
-				m.lost |= bit
-			}
-			if ls != nil {
-				ls[cs.Proc] = cs.LossSeq
-				pw[cs.Proc] = cs.PendingMask
-			}
-			if cs.Pending {
-				b.pendingCnt++
-			}
-		}
-	}
-	for _, ps := range s.Pages {
-		if ps.Page >= pages {
-			return fmt.Errorf("sharing: snapshot page %#x is beyond the machine's %d pages", ps.Page, pages)
-		}
-		h := &o.pageRecord(ps.Page).Head
-		if h.remote == 0 && ps.Remote != 0 {
-			o.npages++
-		}
-		h.home, h.remote = ps.Home, ps.Remote
-	}
-	return nil
 }

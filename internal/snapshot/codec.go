@@ -57,36 +57,33 @@ const (
 	maxPayloadLen = 1 << 30
 )
 
+// section is one named section of a snapshot: a pointer to the field it
+// decodes into and encodes from. An observer section is present only when
+// the capturing run had that observer enabled.
 type section struct {
-	name string
-	val  any
+	name    string
+	ptr     any
+	present bool
 }
 
+// sections lists every section in canonical order. It is the one list the
+// codec, ProveEqual and Diff walk; the header comes first.
 func (s *Snapshot) sections() []section {
-	out := []section{
-		{secHeader, &s.Header},
-		{secEngine, &s.Engine},
-		{secProcs, &s.Procs},
-		{secCaches, &s.Caches},
-		{secDirectories, &s.Directories},
-		{secMemPolicy, &s.MemPolicy},
-		{secResources, &s.Resources},
-		{secMemory, &s.Memory},
-		{secSyncs, &s.Syncs},
+	return []section{
+		{secHeader, &s.Header, true},
+		{secEngine, &s.Engine, true},
+		{secProcs, &s.Procs, true},
+		{secCaches, &s.Caches, true},
+		{secDirectories, &s.Directories, true},
+		{secMemPolicy, &s.MemPolicy, true},
+		{secResources, &s.Resources, true},
+		{secMemory, &s.Memory, true},
+		{secSyncs, &s.Syncs, true},
+		{secChecker, &s.Checker, s.Checker != nil},
+		{secTracer, &s.Tracer, s.Tracer != nil},
+		{secMetrics, &s.Metrics, s.Metrics != nil},
+		{secSharing, &s.Sharing, s.Sharing != nil},
 	}
-	if s.Checker != nil {
-		out = append(out, section{secChecker, s.Checker})
-	}
-	if s.Tracer != nil {
-		out = append(out, section{secTracer, s.Tracer})
-	}
-	if s.Metrics != nil {
-		out = append(out, section{secMetrics, s.Metrics})
-	}
-	if s.Sharing != nil {
-		out = append(out, section{secSharing, s.Sharing})
-	}
-	return out
 }
 
 // Encode serializes the snapshot into the originckpt/v1 byte format.
@@ -97,7 +94,10 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	buf.WriteString(magic)
 	writeU32(&buf, Version)
 	for _, sec := range s.sections() {
-		payload, err := json.Marshal(sec.val)
+		if !sec.present {
+			continue
+		}
+		payload, err := json.Marshal(sec.ptr)
 		if err != nil {
 			return nil, &FormatError{sec.name, "encode: " + err.Error()}
 		}
@@ -137,20 +137,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, &FormatError{"", fmt.Sprintf("format version %d, this build reads %d", ver, Version)}
 	}
 	s := &Snapshot{}
-	targets := map[string]any{
-		secHeader:      &s.Header,
-		secEngine:      &s.Engine,
-		secProcs:       &s.Procs,
-		secCaches:      &s.Caches,
-		secDirectories: &s.Directories,
-		secMemPolicy:   &s.MemPolicy,
-		secResources:   &s.Resources,
-		secMemory:      &s.Memory,
-		secSyncs:       &s.Syncs,
-		secChecker:     &s.Checker,
-		secTracer:      &s.Tracer,
-		secMetrics:     &s.Metrics,
-		secSharing:     &s.Sharing,
+	targets := map[string]any{}
+	for _, sec := range s.sections() {
+		targets[sec.name] = sec.ptr
 	}
 	seen := map[string]bool{}
 	for {

@@ -1,22 +1,22 @@
 // Package snapshot defines the originckpt/v1 checkpoint format: a full
 // serialization of the simulated machine's state at a quiescent scheduling
 // point (a round boundary with no open global section), plus the state of
-// whichever observers — checker, tracer, metrics sampler — the run had
-// enabled.
+// whichever observers — checker, tracer, metrics sampler, sharing
+// classifier — the run had enabled.
 //
 // Goroutine stacks cannot be serialized, so "restore" is replay-based: a
-// resumed run rebuilds the machine from the recorded configuration,
-// deterministically re-executes the prefix with observers muted, proves at
-// the recorded quiescent point that the re-captured simulation state equals
-// the snapshot byte for byte, then restores the observer state and unmutes.
-// The simulation sections therefore serve as proof obligations; only the
-// observer sections are ever written back into live objects. See
-// DESIGN.md §13.
+// resumed run rebuilds the machine and its observers from the recorded
+// configuration, deterministically re-executes the prefix with the
+// observers recording, and proves at the recorded quiescent point that
+// every re-captured section but the header equals the snapshot byte for
+// byte. Every section is therefore a proof obligation; none is ever
+// written back into a live object. See DESIGN.md §13.
 package snapshot
 
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"origin2000/internal/cache"
@@ -66,9 +66,10 @@ type Header struct {
 	Engine  string `json:"engine,omitempty"`
 	// Workers is the effective host-worker count the capturing run used.
 	Workers int `json:"workers,omitempty"`
-	// WorkersForced records that the checker or the metrics sampler forced
-	// the engine to one worker (their observer hooks read cross-shard state
-	// at event time). A resume of such a run must not request more workers.
+	// WorkersForced records that the checker, the metrics sampler or the
+	// sharing classifier forced the engine to one worker (their observer
+	// hooks read cross-shard state at event time). A resume of such a run
+	// must not request more workers.
 	WorkersForced bool `json:"workers_forced,omitempty"`
 	// QuiesSeq is the engine's round-open counter at the capture point; the
 	// schedule is deterministic, so a replay reaches the same state exactly
@@ -189,87 +190,47 @@ func (e *DivergenceError) Error() string {
 		e.Seq, e.At, e.Section, e.Msg)
 }
 
-// simSections returns the simulation-state sections (name, value) in
-// canonical order. These are the proof obligations of a resume; the header
-// and observer sections are handled separately.
-func (s *Snapshot) simSections() []struct {
-	name string
-	val  any
-} {
-	return []struct {
-		name string
-		val  any
-	}{
-		{secEngine, s.Engine},
-		{secProcs, s.Procs},
-		{secCaches, s.Caches},
-		{secDirectories, s.Directories},
-		{secMemPolicy, s.MemPolicy},
-		{secResources, s.Resources},
-		{secMemory, s.Memory},
-		{secSyncs, s.Syncs},
-	}
-}
-
-// ProveEqual byte-compares the simulation sections of live and recorded,
-// returning the name of the first differing section, or ok=true when every
-// section matches. Both sides are re-marshaled, so slice identity and
-// backing arrays never matter, only content.
+// ProveEqual is the resume proof: it byte-compares every section of live
+// and recorded except the header, which records how the run was driven
+// (engine, worker count, checkpoint directory) rather than what it
+// computed, and returns the name of the first differing section, or
+// ok=true when all match. A section present on one side only differs.
+// Both sides are re-marshaled, so slice identity and backing arrays never
+// matter, only content.
 func ProveEqual(live, recorded *Snapshot) (section string, ok bool) {
-	ls, rs := live.simSections(), recorded.simSections()
-	for i := range ls {
-		lb, err := json.Marshal(ls[i].val)
-		if err != nil {
-			return ls[i].name, false
-		}
-		rb, err := json.Marshal(rs[i].val)
-		if err != nil {
-			return rs[i].name, false
-		}
-		if string(lb) != string(rb) {
+	ls, rs := live.sections(), recorded.sections()
+	for i := 1; i < len(ls); i++ { // ls[0] is the header
+		if !sameJSON(ls[i].ptr, rs[i].ptr) {
 			return ls[i].name, false
 		}
 	}
 	return "", true
 }
 
-// Diff byte-compares every section of two snapshots — header, simulation
-// state, and observers — returning the name of the first differing section,
-// or ok=true when the snapshots are equivalent.
+// Diff byte-compares every section of two snapshots, the header first,
+// returning the name of the first differing section, or ok=true when the
+// snapshots are equivalent.
 func Diff(a, b *Snapshot) (section string, ok bool) {
-	pairs := []struct {
-		name string
-		av   any
-		bv   any
-	}{
-		{secHeader, a.Header, b.Header},
-		{secChecker, a.Checker, b.Checker},
-		{secTracer, a.Tracer, b.Tracer},
-		{secMetrics, a.Metrics, b.Metrics},
-		{secSharing, a.Sharing, b.Sharing},
+	if !sameJSON(&a.Header, &b.Header) {
+		return secHeader, false
 	}
-	as, bs := a.simSections(), b.simSections()
-	for i := range as {
-		pairs = append(pairs, struct {
-			name string
-			av   any
-			bv   any
-		}{as[i].name, as[i].val, bs[i].val})
+	return ProveEqual(a, b)
+}
+
+// sameJSON reports whether a and b marshal to the same bytes; a value
+// that does not marshal differs from everything else. Deeply equal values
+// marshal alike, so that cheaper test answers first, and only values it
+// tells apart (a nil slice and an empty one, say) are marshaled.
+func sameJSON(a, b any) bool {
+	if reflect.DeepEqual(a, b) {
+		return true
 	}
-	for _, p := range pairs {
-		ab, err := json.Marshal(p.av)
-		if err != nil {
-			return p.name, false
-		}
-		bb, err := json.Marshal(p.bv)
-		if err != nil {
-			return p.name, false
-		}
-		if string(ab) != string(bb) {
-			return p.name, false
-		}
+	ab, err := json.Marshal(a)
+	if err != nil {
+		return false
 	}
-	return "", true
+	bb, err := json.Marshal(b)
+	return err == nil && string(ab) == string(bb)
 }
 
 // Validate structurally checks a decoded snapshot: version, cross-section
@@ -280,8 +241,8 @@ func (s *Snapshot) Validate() error {
 	if h.Version != Version {
 		return &FormatError{secHeader, fmt.Sprintf("version %d, want %d", h.Version, Version)}
 	}
-	if h.Procs <= 0 {
-		return &FormatError{secHeader, fmt.Sprintf("non-positive processor count %d", h.Procs)}
+	if h.Procs <= 0 || h.Procs > directory.MaxProcs {
+		return &FormatError{secHeader, fmt.Sprintf("processor count %d outside [1, %d]", h.Procs, directory.MaxProcs)}
 	}
 	if h.QuiesSeq <= 0 {
 		return &FormatError{secHeader, fmt.Sprintf("non-positive quiescent sequence %d", h.QuiesSeq)}

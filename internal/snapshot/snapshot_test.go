@@ -16,6 +16,7 @@ import (
 	"origin2000/internal/directory"
 	"origin2000/internal/mempolicy"
 	"origin2000/internal/metrics"
+	"origin2000/internal/sharing"
 	"origin2000/internal/sim"
 	"origin2000/internal/trace"
 )
@@ -160,69 +161,6 @@ func goldenSnapshot() *Snapshot {
 		},
 	}
 	return s
-}
-
-// TestCheckerSnapRoundTrip pins the checker's snapshot bytes: restoring a
-// checker section into a fresh checker and snapping it again gives back the
-// same section, value for value and byte for byte.
-func TestCheckerSnapRoundTrip(t *testing.T) {
-	fixture, err := ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden fixture: %v", err)
-	}
-	var sharers directory.Sharers
-	sharers.Add(0)
-	sharers.Add(1)
-	lagging := check.Snap{
-		Blocks: []check.BlockSnap{
-			{Block: 3, Owner: -1},
-			{
-				Block: 200, DirState: directory.SharedState, Owner: -1, Sharers: sharers, Ver: 9,
-				// p0's copy lags the golden image: a stale line the
-				// checker has not yet been asked about.
-				Held:  []check.LineSnap{{Proc: 0, State: cache.Shared, Ver: 7}, {Proc: 1, State: cache.Shared, Ver: 9}},
-				HistN: 20,
-				Hist:  make([]check.Event, 16),
-			},
-		},
-		Clocks:        []sim.Time{5 * sim.Microsecond, 6 * sim.Microsecond},
-		MaxViolations: 16,
-		Events:        21,
-	}
-	for _, tc := range []struct {
-		name string
-		want check.Snap
-	}{
-		{"golden fixture", *fixture.Checker},
-		{"lagging held version", lagging},
-		{"no blocks", check.New(2, directory.New()).Snap()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ck := check.New(2, directory.New())
-			ck.GrowPages(2) // the snapshots name blocks on pages 0 and 1
-			if err := ck.Restore(tc.want); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			got := ck.Snap()
-			if !reflect.DeepEqual(tc.want, got) {
-				t.Fatalf("Snap after Restore differs:\nwant %+v\ngot  %+v", tc.want, got)
-			}
-			want, err := json.Marshal(tc.want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, enc) {
-				t.Fatalf("Snap after Restore encodes differently:\nwant %s\ngot  %s", want, enc)
-			}
-			if len(got.Blocks) == 0 && !bytes.Contains(enc, []byte(`"blocks":[]`)) {
-				t.Fatalf("a checker with no blocks must snap as \"blocks\":[]: %s", enc)
-			}
-		})
-	}
 }
 
 // TestStructuralRoundTrip is the structural tier's core property: every
@@ -410,7 +348,10 @@ func TestDecodeRejectsBadStreams(t *testing.T) {
 		b.WriteString(magic)
 		writeU32(&b, Version)
 		for _, sec := range goldenSnapshot().sections() {
-			payload, err := json.Marshal(sec.val)
+			if !sec.present {
+				continue
+			}
+			payload, err := json.Marshal(sec.ptr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,12 +384,18 @@ func TestDecodeRejectsBadStreams(t *testing.T) {
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	const unknown = "zz_not_a_field"
 	for _, target := range goldenSnapshot().sections() {
+		if !target.present {
+			continue
+		}
 		t.Run(target.name, func(t *testing.T) {
 			var b bytes.Buffer
 			b.WriteString(magic)
 			writeU32(&b, Version)
 			for _, sec := range goldenSnapshot().sections() {
-				payload, err := json.Marshal(sec.val)
+				if !sec.present {
+					continue
+				}
+				payload, err := json.Marshal(sec.ptr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -492,6 +439,7 @@ func TestValidateCatchesStructuralDamage(t *testing.T) {
 	}{
 		{"wrong version", secHeader, func(s *Snapshot) { s.Header.Version = 99 }},
 		{"zero procs", secHeader, func(s *Snapshot) { s.Header.Procs = 0 }},
+		{"more procs than a sharer set tracks", secHeader, func(s *Snapshot) { s.Header.Procs = directory.MaxProcs + 1 }},
 		{"engine proc count", secEngine, func(s *Snapshot) { s.Engine.Procs = s.Engine.Procs[:1] }},
 		{"engine proc ids", secEngine, func(s *Snapshot) { s.Engine.Procs[1].ID = 7 }},
 		{"proc count", secProcs, func(s *Snapshot) { s.Procs = append(s.Procs, ProcSnap{}) }},
@@ -534,27 +482,82 @@ func TestValidateCatchesStructuralDamage(t *testing.T) {
 	}
 }
 
+// TestProveEqualAndDiff: the resume proof compares every section but the
+// header, observers included, and Diff compares the header too.
 func TestProveEqualAndDiff(t *testing.T) {
-	a, b := goldenSnapshot(), goldenSnapshot()
-	if sec, ok := ProveEqual(a, b); !ok {
+	a := goldenSnapshot()
+	if sec, ok := ProveEqual(a, goldenSnapshot()); !ok {
 		t.Fatalf("identical snapshots differ in %q", sec)
 	}
-	if sec, ok := Diff(a, b); !ok {
+	if sec, ok := Diff(a, goldenSnapshot()); !ok {
 		t.Fatalf("identical snapshots Diff in %q", sec)
 	}
-	b.Caches[0].Clock++
-	if sec, ok := ProveEqual(a, b); ok || sec != secCaches {
-		t.Fatalf("cache divergence reported (%q, %v), want (caches, false)", sec, ok)
+	for _, c := range []struct {
+		section string
+		tamper  func(*Snapshot)
+	}{
+		{secCaches, func(s *Snapshot) { s.Caches[0].Clock++ }},
+		{secChecker, func(s *Snapshot) { s.Checker.Events++ }},
+		{secTracer, func(s *Snapshot) { s.Tracer.Rings[0].N++ }},
+		{secMetrics, func(s *Snapshot) { s.Metrics.MachNext++ }},
+		{secSharing, func(s *Snapshot) { s.Sharing = &sharing.Snap{Procs: 2, Nodes: 1, NodeRemote: []int64{0}} }},
+		{secChecker, func(s *Snapshot) { s.Checker = nil }},
+	} {
+		b := goldenSnapshot()
+		c.tamper(b)
+		if sec, ok := ProveEqual(a, b); ok || sec != c.section {
+			t.Errorf("ProveEqual reported (%q, %v), want (%s, false)", sec, ok, c.section)
+		}
+		if sec, ok := Diff(a, b); ok || sec != c.section {
+			t.Errorf("Diff reported (%q, %v), want (%s, false)", sec, ok, c.section)
+		}
 	}
-	// Observer-only differences are invisible to the simulation proof but
-	// visible to Diff.
-	c := goldenSnapshot()
-	c.Metrics.MachNext++
-	if _, ok := ProveEqual(a, c); !ok {
-		t.Fatal("ProveEqual looked at an observer section")
+	// The header records how the run was driven, not what it computed.
+	b := goldenSnapshot()
+	b.Header.Workers, b.Header.Engine = 8, "serial"
+	if sec, ok := ProveEqual(a, b); !ok {
+		t.Errorf("ProveEqual looked at the header: section %q", sec)
 	}
-	if sec, ok := Diff(a, c); ok || sec != secMetrics {
-		t.Fatalf("metrics divergence reported (%q, %v), want (metrics, false)", sec, ok)
+	if sec, ok := Diff(a, b); ok || sec != secHeader {
+		t.Errorf("Diff reported (%q, %v), want (header, false)", sec, ok)
+	}
+	// Content decides, not representation: an empty slice where a decoded
+	// snapshot holds nil marshals alike under omitempty, so it proves equal
+	// though the values are not deeply equal.
+	b = goldenSnapshot()
+	b.Procs[1].PhaseAcc = []PhaseTotal{}
+	if sec, ok := Diff(a, b); !ok {
+		t.Errorf("a nil and an empty omitted slice Diff in %q", sec)
+	}
+}
+
+// TestProveEqualCoversEverySection walks the section list the codec walks:
+// changing any section but the header must fail ProveEqual and Diff naming
+// that section, and changing the header must fail Diff alone. A section
+// added to the format is a proof obligation from the start. A present
+// section is cleared; an absent observer section is given an empty one.
+func TestProveEqualCoversEverySection(t *testing.T) {
+	live := goldenSnapshot()
+	for i, sec := range live.sections() {
+		t.Run(sec.name, func(t *testing.T) {
+			recorded := goldenSnapshot()
+			v := reflect.ValueOf(recorded.sections()[i].ptr).Elem()
+			if v.IsZero() {
+				v.Set(reflect.New(v.Type().Elem()))
+			} else {
+				v.SetZero()
+			}
+			wantProof := sec.name
+			if sec.name == secHeader {
+				wantProof = ""
+			}
+			if got, ok := ProveEqual(live, recorded); got != wantProof || ok != (wantProof == "") {
+				t.Errorf("ProveEqual reported (%q, %v), want (%q, %v)", got, ok, wantProof, wantProof == "")
+			}
+			if got, ok := Diff(live, recorded); ok || got != sec.name {
+				t.Errorf("Diff reported (%q, %v), want (%s, false)", got, ok, sec.name)
+			}
+		})
 	}
 }
 

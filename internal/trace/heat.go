@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"origin2000/internal/sim"
@@ -60,26 +58,6 @@ func (h *HeatStat) observe(kind Kind, stall sim.Time, invals, sharers int) {
 	}
 	h.SharerSum += int64(sharers)
 	h.Samples++
-}
-
-// add folds o into h: counters and sums are additive, extrema take the
-// max. Restore uses it to fold a snapshot's page entries into the index;
-// every operation commutes, so the result is independent of fold order.
-func (h *HeatStat) add(o *HeatStat) {
-	h.LocalMisses += o.LocalMisses
-	h.RemoteClean += o.RemoteClean
-	h.RemoteDirty += o.RemoteDirty
-	h.Upgrades += o.Upgrades
-	h.InvalsSent += o.InvalsSent
-	h.InvalsRecv += o.InvalsRecv
-	h.Interventions += o.Interventions
-	h.Migrations += o.Migrations
-	if o.MaxSharers > h.MaxSharers {
-		h.MaxSharers = o.MaxSharers
-	}
-	h.SharerSum += o.SharerSum
-	h.Samples += o.Samples
-	h.Stall += o.Stall
 }
 
 // recorded reports whether any event reached this page or block: a miss,
@@ -140,49 +118,6 @@ func (b *blockHeat) stat() HeatStat {
 	h.Interventions = h.RemoteDirty
 	h.Samples = h.Misses() + h.Upgrades
 	return h
-}
-
-// fold adds a restored block entry to the slot. It rejects, naming the
-// field, an entry live recording cannot leave: one whose derived fields
-// disagree with the counts they follow from, whose counts do not fit 32
-// bits once folded, or which records no event at all.
-func (b *blockHeat) fold(h *HeatStat) error {
-	switch {
-	case h.Interventions != h.RemoteDirty:
-		return fmt.Errorf("Interventions %d is not RemoteDirty %d", h.Interventions, h.RemoteDirty)
-	case h.Samples != h.Misses()+h.Upgrades:
-		return fmt.Errorf("Samples %d is not the %d misses and upgrades", h.Samples, h.Misses()+h.Upgrades)
-	case h.Migrations != 0:
-		return fmt.Errorf("Migrations %d on a block", h.Migrations)
-	case !h.recorded():
-		return errors.New("entry records no miss, upgrade or invalidation")
-	}
-	counts := [...]struct {
-		name string
-		dst  *uint32
-		v    int64
-	}{
-		{"LocalMisses", &b.localMisses, h.LocalMisses},
-		{"RemoteClean", &b.remoteClean, h.RemoteClean},
-		{"RemoteDirty", &b.remoteDirty, h.RemoteDirty},
-		{"Upgrades", &b.upgrades, h.Upgrades},
-		{"InvalsSent", &b.invalsSent, h.InvalsSent},
-		{"InvalsRecv", &b.invalsRecv, h.InvalsRecv},
-	}
-	for _, c := range counts {
-		if c.v < 0 || int64(*c.dst)+c.v > math.MaxUint32 {
-			return fmt.Errorf("%s %d does not fit 32 bits", c.name, int64(*c.dst)+c.v)
-		}
-	}
-	for _, c := range counts {
-		*c.dst += uint32(c.v)
-	}
-	if h.MaxSharers > b.maxSharers {
-		b.maxSharers = h.MaxSharers
-	}
-	b.sharerSum += h.SharerSum
-	b.stall += h.Stall
-	return nil
 }
 
 // Heat is one ranked heatmap entry: a page or block number plus its stats.

@@ -1,17 +1,14 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 
-	"origin2000/internal/pagearray"
 	"origin2000/internal/sim"
 )
 
 // RingSnap is one processor's serialized event ring: the total-event
 // counter, the in-buffer tail (oldest first), and the lossless spill area.
-// The buffer geometry is not stored — a restored ring is rebuilt from the
-// tracer's Options, and N mod the buffer size recovers the write cursor.
+// The buffer geometry is not stored; it follows from the tracer's Options.
 type RingSnap struct {
 	N        uint64  `json:"n"`
 	Resident []Event `json:"resident,omitempty"`
@@ -43,17 +40,6 @@ func (h *Histogram) snap() HistSnap {
 	return s
 }
 
-func (h *Histogram) restore(s HistSnap) error {
-	*h = Histogram{total: s.Total, sum: s.Sum, max: s.Max, min: s.Min}
-	for _, b := range s.Buckets {
-		if b.Idx < 0 || b.Idx >= histBuckets {
-			return fmt.Errorf("trace: histogram bucket index %d out of range", b.Idx)
-		}
-		h.counts[b.Idx] = b.Count
-	}
-	return nil
-}
-
 // HeatEntry is one page's or block's heat record in a BucketSnap, keyed by
 // page or block number.
 type HeatEntry struct {
@@ -63,9 +49,7 @@ type HeatEntry struct {
 
 // BucketSnap is one shard's serialized attribution state: its histograms
 // and heat entries in ascending key order. Snap writes the whole heat
-// index into the first bucket; Restore folds every bucket's heat, so a
-// snapshot that splits heat across shards, as the per-shard heat maps of
-// earlier versions did, restores to the same reports.
+// index into the first bucket.
 type BucketSnap struct {
 	Pages  []HeatEntry               `json:"pages,omitempty"`
 	Blocks []HeatEntry               `json:"blocks,omitempty"`
@@ -88,9 +72,7 @@ type LabelCount struct {
 }
 
 // Snap is the tracer's full serializable state. Histograms are captured
-// (and restored) per shard, not merged, so a resumed run keeps recording
-// into the same shard-confined structures and every merged report stays
-// byte-identical to an uninterrupted run's.
+// per shard, not merged, as the shard-confined structures hold them.
 type Snap struct {
 	Rings   []RingSnap   `json:"rings"`
 	Buckets []BucketSnap `json:"shard_buckets"`
@@ -146,92 +128,4 @@ func (t *Tracer) Snap() Snap {
 		sort.Slice(s.SyncN, func(i, j int) bool { return s.SyncN[i].Label < s.SyncN[j].Label })
 	}
 	return s
-}
-
-// Restore overwrites the tracer's state from a snapshot. The tracer must
-// have been created with the same Options, processor count, and shard map
-// as the one that produced the snapshot, and its heat index sized to the
-// machine's pages (the machine rebuilds all of them from the run's
-// configuration before restoring).
-func (t *Tracer) Restore(s Snap) error {
-	if len(s.Rings) != len(t.rings) {
-		return fmt.Errorf("trace: snapshot has %d rings, tracer has %d", len(s.Rings), len(t.rings))
-	}
-	if len(s.Buckets) != len(t.buckets) {
-		return fmt.Errorf("trace: snapshot has %d shard buckets, tracer has %d",
-			len(s.Buckets), len(t.buckets))
-	}
-	for i := range t.rings {
-		r := &t.rings[i]
-		rs := s.Rings[i]
-		if uint64(len(rs.Resident)) > uint64(len(r.buf)) {
-			return fmt.Errorf("trace: ring %d snapshot holds %d resident events, buffer holds %d",
-				i, len(rs.Resident), len(r.buf))
-		}
-		r.n = rs.N
-		r.spill = rs.Spill
-		for j := range r.buf {
-			r.buf[j] = Event{}
-		}
-		k := uint64(len(rs.Resident))
-		for off, ev := range rs.Resident {
-			r.buf[(rs.N-k+uint64(off))&r.mask] = ev
-		}
-	}
-	t.heat.Reset()
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		bs := s.Buckets[i]
-		if err := t.restoreHeat(bs); err != nil {
-			return err
-		}
-		for c := range b.lat {
-			if err := b.lat[c].restore(bs.Lat[c]); err != nil {
-				return err
-			}
-		}
-		for c := range b.queue {
-			if err := b.queue[c].restore(bs.Queue[c]); err != nil {
-				return err
-			}
-		}
-	}
-	t.syncs = make(map[uint64]*SyncStat, len(s.Syncs))
-	for _, st := range s.Syncs {
-		cp := st
-		t.syncs[st.Obj] = &cp
-	}
-	t.syncN = make(map[string]int, len(s.SyncN))
-	for _, lc := range s.SyncN {
-		t.syncN[lc.Label] = lc.Count
-	}
-	t.epochs = s.Epochs
-	return nil
-}
-
-// restoreHeat folds one bucket's heat entries into the index. It rejects
-// an entry outside the sized pages and, through blockHeat.fold, a block
-// entry live recording cannot leave; a page entry must record an event,
-// like every page the index reports.
-func (t *Tracer) restoreHeat(bs BucketSnap) error {
-	pages := uint64(t.heat.Len())
-	for _, e := range bs.Pages {
-		if e.Key >= pages {
-			return fmt.Errorf("trace: snapshot page %#x is beyond the machine's %d pages", e.Key, pages)
-		}
-		if !e.Stat.recorded() {
-			return fmt.Errorf("trace: snapshot page %#x heat records no miss, upgrade, invalidation or move", e.Key)
-		}
-		t.heat.Page(e.Key).Head.add(&e.Stat)
-	}
-	for _, e := range bs.Blocks {
-		page := e.Key >> pagearray.PageBlockShift
-		if page >= pages {
-			return fmt.Errorf("trace: snapshot block %#x is on page %#x, beyond the machine's %d pages", e.Key, page, pages)
-		}
-		if err := t.heat.Block(e.Key).fold(&e.Stat); err != nil {
-			return fmt.Errorf("trace: snapshot block %#x heat: %w", e.Key, err)
-		}
-	}
-	return nil
 }

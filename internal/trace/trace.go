@@ -180,8 +180,8 @@ func (t *Tracer) SetShards(shardOf []int, numShards int) {
 }
 
 // GrowPages extends the heat index to cover pages [0, n). The machine
-// calls it from Alloc, and when it rebuilds the tracer at a resume point,
-// both while no processor runs; recording never grows the index.
+// calls it from Alloc, while no processor runs; recording never grows the
+// index.
 func (t *Tracer) GrowPages(n int) { t.heat.Grow(n) }
 
 // NumShards reports the attribution bucket count.
