@@ -51,7 +51,7 @@ func main() {
 	var (
 		list      = flag.Bool("list", false, "list applications and variants")
 		breakdown = flag.Bool("breakdown", false, "print the per-processor breakdown figure")
-		arrays    = flag.Bool("arrays", false, "attribute misses to named allocations (the tooling the paper wished the Origin had)")
+		arrays    = flag.Bool("arrays", false, "attribute misses, upgrades and their stall to named allocations (turns the tracer on; the tooling the paper wished the Origin had)")
 		phases    = flag.Bool("phases", false, "print the per-phase time breakdown (instrumented apps)")
 		ppn       = flag.Int("ppn", 2, "processors per node (Section 7.2)")
 		mapping   = flag.String("mapping", "linear", "process mapping: linear, random, gray, split")
@@ -126,6 +126,9 @@ func main() {
 	}
 	if *traceOut != "" {
 		cfg.Trace = trace.Options{Enabled: true, Lossless: true}
+	} else if *arrays {
+		// Per-array attribution is folded from the tracer's page heat.
+		cfg.Trace.Enabled = true
 	}
 	if *hostprofF != "" {
 		cfg.HostProf = true
@@ -140,9 +143,6 @@ func main() {
 		cfg.Checkpoint.Spec = se.Scale.RunSpec(app, params)
 	}
 	m := core.New(cfg)
-	if *arrays {
-		m.EnableArrayStats()
-	}
 	if *faultDrop > 0 {
 		n := 0
 		m.FaultDropInvalidation(func(block uint64, proc int) bool {

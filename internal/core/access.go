@@ -4,6 +4,7 @@ import (
 	"origin2000/internal/cache"
 	"origin2000/internal/memclass"
 	"origin2000/internal/mempolicy"
+	"origin2000/internal/sharing"
 	"origin2000/internal/sim"
 	"origin2000/internal/topology"
 	"origin2000/internal/trace"
@@ -25,7 +26,9 @@ func (p *Proc) access(addr uint64, write bool, kind sim.StatKind) {
 		if ck := p.m.check; ck != nil {
 			ck.OnHit(p.ID(), block, write, p.sp.Now())
 		}
-		p.sharingHit(block, addr, write)
+		if sh := p.m.sharing; sh != nil {
+			sh.OnHit(p.ID(), block, sharing.WordOf(addr), write)
+		}
 		// A prefetched line may still be in flight; wait out the rest.
 		if len(p.prefetch) > 0 {
 			if ready, ok := p.prefetch[block]; ok {
@@ -59,6 +62,13 @@ func (p *Proc) access(addr uint64, write bool, kind sim.StatKind) {
 		return
 	}
 	p.demandMiss(block, addr, write, kind)
+}
+
+// missKind is the tracer's event kind for each demand-miss class.
+var missKind = [...]trace.Kind{
+	memclass.Local:       trace.EvMissLocal,
+	memclass.RemoteClean: trace.EvMissRemoteClean,
+	memclass.RemoteDirty: trace.EvMissRemoteDirty,
 }
 
 // transaction walks one coherence transaction through the machine,
@@ -265,11 +275,15 @@ func (p *Proc) demandMiss(block, addr uint64, write bool, kind sim.StatKind) {
 	}
 
 	latency := complete - p.sp.Now()
+	invals := int(c.Invalidations - invalsBefore)
+	class := memclass.Local
 	switch {
 	case dirty:
+		class = memclass.RemoteDirty
 		c.RemoteDirty++
 		c.RemoteStall += latency
 	case remote:
+		class = memclass.RemoteClean
 		c.RemoteClean++
 		c.RemoteStall += latency
 	default:
@@ -277,30 +291,15 @@ func (p *Proc) demandMiss(block, addr uint64, write bool, kind sim.StatKind) {
 		c.LocalStall += latency
 	}
 	c.ContentionStall += queued
-	m.noteMiss(addr, dirty, remote, latency, int(c.Invalidations-invalsBefore))
-	if m.sharing != nil {
+	if sh := m.sharing; sh != nil {
 		// The classifier sees the miss after transaction's invalidations
 		// above snapshotted the victims' word versions; no yield separates
 		// the two, which is what makes the true/false split exact.
-		class := memclass.Local
-		switch {
-		case dirty:
-			class = memclass.RemoteDirty
-		case remote:
-			class = memclass.RemoteClean
-		}
-		p.sharingMiss(block, addr, write, class, home, int(c.Invalidations-invalsBefore))
+		sh.OnMiss(p.ID(), block, sharing.WordOf(addr), write, class, home, page, invals)
 	}
 	if tr := m.tracer; tr != nil {
-		ekind := trace.EvMissLocal
-		switch {
-		case dirty:
-			ekind = trace.EvMissRemoteDirty
-		case remote:
-			ekind = trace.EvMissRemoteClean
-		}
 		tr.Miss(p.ID(), p.sp.Now(), latency, block, page, home,
-			int(c.Invalidations-invalsBefore), m.dirs[home].SharerWidth(block), ekind)
+			invals, m.dirs[home].SharerWidth(block), missKind[class])
 	}
 
 	if remote {
@@ -328,8 +327,11 @@ func (p *Proc) upgrade(block, addr uint64, kind sim.StatKind) {
 	}
 
 	latency := complete - p.sp.Now()
+	invals := int(c.Invalidations - invalsBefore)
 	c.Upgrades++
-	p.sharingUpgrade(block, addr, int(c.Invalidations-invalsBefore))
+	if sh := p.m.sharing; sh != nil {
+		sh.OnUpgrade(p.ID(), block, sharing.WordOf(addr), invals)
+	}
 	if home != p.node {
 		c.RemoteStall += latency
 	} else {
@@ -338,7 +340,7 @@ func (p *Proc) upgrade(block, addr uint64, kind sim.StatKind) {
 	c.ContentionStall += queued
 	if tr := p.m.tracer; tr != nil {
 		tr.Miss(p.ID(), p.sp.Now(), latency, block, page, home,
-			int(c.Invalidations-invalsBefore), p.m.dirs[home].SharerWidth(block), trace.EvUpgrade)
+			invals, p.m.dirs[home].SharerWidth(block), trace.EvUpgrade)
 	}
 	p.sp.Advance(latency, kind)
 	p.tickMetrics()

@@ -44,9 +44,7 @@ func (m *Machine) Alloc(name string, n, elemSize int) *Array {
 		// while no processor runs (see trace.Tracer.GrowPages).
 		m.tracer.GrowPages(m.numPages())
 	}
-	if m.arrays != nil {
-		m.arrays.add(a.base, int64(n)*int64(elemSize), name)
-	}
+	m.allocs = append(m.allocs, a)
 	return a
 }
 

@@ -17,63 +17,44 @@ type ArrayStats struct {
 	LocalMisses int64
 	RemoteClean int64
 	RemoteDirty int64
-	Invals      int64    // invalidations caused by writes to this array
-	Stall       sim.Time // total miss stall attributed to this array
+	Invals      int64    // invalidations caused by writes to this array, upgrades included
+	Stall       sim.Time // miss and upgrade stall attributed to this array
 }
 
 // Remote reports the remote miss count.
 func (a *ArrayStats) Remote() int64 { return a.RemoteClean + a.RemoteDirty }
 
-// arrayIndex locates the allocation containing an address. Allocations are
-// page-aligned and monotonically increasing, so a binary search over the
-// base addresses resolves an address in O(log n); it is consulted only on
-// misses, never on hits.
-type arrayIndex struct {
-	bases []uint64
-	stats []*ArrayStats
-}
-
-func (ix *arrayIndex) add(base uint64, bytes int64, name string) {
-	ix.bases = append(ix.bases, base)
-	ix.stats = append(ix.stats, &ArrayStats{Name: name, Bytes: bytes})
-}
-
-func (ix *arrayIndex) find(addr uint64) *ArrayStats {
-	i := sort.Search(len(ix.bases), func(i int) bool { return ix.bases[i] > addr }) - 1
-	if i < 0 {
-		return nil
-	}
-	return ix.stats[i]
-}
-
-// EnableArrayStats turns on per-allocation miss attribution. Call it
-// before the arrays of interest are allocated; it adds a binary search per
-// miss (hits are unaffected).
-func (m *Machine) EnableArrayStats() {
-	if m.arrays == nil {
-		m.arrays = &arrayIndex{}
-	}
-	// Attribution sums into shared per-array totals from the miss path, so
-	// the engine must not run shards concurrently. The schedule (and every
-	// simulated result) is identical at any worker count.
-	m.eng.SetWorkers(1)
-}
-
-// ArrayStats returns per-allocation statistics (nil unless
-// EnableArrayStats was called), ordered by descending total stall.
+// ArrayStats returns per-allocation statistics, ordered by descending total
+// stall, or nil when the tracer is off. They are folded from the tracer's
+// per-page heat: allocations are page-aligned, so every page the tracer
+// saw belongs to exactly one of them, and the Stall column sums to the
+// processors' local plus remote stall.
 func (m *Machine) ArrayStats() []*ArrayStats {
-	if m.arrays == nil {
+	if m.tracer == nil {
 		return nil
 	}
-	out := make([]*ArrayStats, 0, len(m.arrays.stats))
-	out = append(out, m.arrays.stats...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Stall > out[j].Stall })
+	out := make([]*ArrayStats, len(m.allocs))
+	for i, a := range m.allocs {
+		out[i] = &ArrayStats{Name: a.name, Bytes: int64(a.n) * int64(a.elemSize)}
+	}
+	for _, h := range m.tracer.TopPages(0) {
+		// Allocations ascend from page 0, so a page belongs to the last
+		// one that starts at or below it.
+		i := sort.Search(len(m.allocs), func(i int) bool { return m.allocs[i].firstPage() > h.Key }) - 1
+		a := out[i]
+		a.LocalMisses += h.LocalMisses
+		a.RemoteClean += h.RemoteClean
+		a.RemoteDirty += h.RemoteDirty
+		a.Invals += h.InvalsSent
+		a.Stall += h.Stall
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Stall > out[j].Stall })
 	return out
 }
 
 // ArrayReport renders the per-allocation statistics as table rows, header
 // first. Same-named allocations (e.g. the per-lock lines) are merged, and
-// allocations with no miss activity are omitted.
+// allocations with no miss or upgrade are omitted.
 func (m *Machine) ArrayReport() [][]string {
 	merged := map[string]*ArrayStats{}
 	var order []string
@@ -97,7 +78,7 @@ func (m *Machine) ArrayReport() [][]string {
 	rows := [][]string{{"Array", "Bytes", "Local miss", "Remote clean", "Remote dirty", "Invals", "Stall (ms)"}}
 	for _, name := range order {
 		a := merged[name]
-		if a.LocalMisses+a.RemoteClean+a.RemoteDirty == 0 {
+		if a.Stall == 0 { // every miss and upgrade stalls
 			continue
 		}
 		rows = append(rows, []string{
@@ -111,25 +92,4 @@ func (m *Machine) ArrayReport() [][]string {
 		})
 	}
 	return rows
-}
-
-// noteMiss attributes one demand miss to its allocation.
-func (m *Machine) noteMiss(addr uint64, dirty, remote bool, stall sim.Time, invals int) {
-	if m.arrays == nil {
-		return
-	}
-	a := m.arrays.find(addr)
-	if a == nil {
-		return
-	}
-	switch {
-	case dirty:
-		a.RemoteDirty++
-	case remote:
-		a.RemoteClean++
-	default:
-		a.LocalMisses++
-	}
-	a.Invals += int64(invals)
-	a.Stall += stall
 }

@@ -175,8 +175,8 @@ func (m *Machine) onQuiescent(seq int64, minNow sim.Time, quiet bool) {
 
 // capture serializes the machine at a quiescent point. Everything that can
 // influence the rest of the run — or that an observer has accumulated — is
-// included; host-side state with no observable effect (the diagnostic
-// array index) is deliberately not.
+// included; host-side state with no observable effect (the allocation
+// list ArrayStats folds over, which replay rebuilds) is deliberately not.
 func (m *Machine) capture(seq int64, minNow sim.Time) *snapshot.Snapshot {
 	workers, forced := EffectiveWorkers(&m.cfg)
 	s := &snapshot.Snapshot{

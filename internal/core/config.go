@@ -132,19 +132,10 @@ type Config struct {
 	Quantum sim.Time
 	// MaxPrefetch bounds outstanding prefetches per processor (default 8).
 	MaxPrefetch int
-	// NodeMemBytes bounds per-node memory; pages spill to other nodes
-	// when a node fills (Ocean's sequential superlinearity, Section 4.1).
-	// Zero means unbounded.
-	NodeMemBytes int64
 	// IgnorePlacement makes the Array.Place* calls no-ops so the default
 	// Placement policy governs every page — the "Round Robin" columns of
 	// Table 3 run the same application code with this set.
 	IgnorePlacement bool
-	// ForceNodes overrides the node count when larger than the number of
-	// nodes implied by Procs/ProcsPerNode. A sequential run on a machine
-	// with many nodes models the paper's uniprocessor baseline, whose
-	// data can exceed one node's memory (Ocean's superlinearity).
-	ForceNodes int
 	// Check enables the online coherence-invariant checker
 	// (internal/check): every directory transaction and cache fill/evict
 	// is verified against a mirrored protocol state and a golden memory

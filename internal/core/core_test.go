@@ -316,22 +316,6 @@ func TestMigrationMakesPageLocal(t *testing.T) {
 	}
 }
 
-func TestNodeMemorySpill(t *testing.T) {
-	cfg := core.Origin2000(8) // 4 nodes
-	cfg.NodeMemBytes = 4 * mempolicy.PageBytes
-	m := core.New(cfg)
-	arr := m.Alloc("a", 8*mempolicy.PageBytes/8, 8) // 8 pages
-	arr.PlaceAtNode(0)                              // wants all on node 0; only 4 fit
-	perNode := make([]int, m.NumNodes())
-	for pg := 0; pg < arr.Pages(); pg++ {
-		page := mempolicy.PageOf(arr.Addr(pg * mempolicy.PageBytes / 8))
-		perNode[m.PageTable().Choose(page, 1)]++
-	}
-	if perNode[0] != 4 || perNode[1] != 4 {
-		t.Errorf("pages per node = %v, want [4 4 0 0]", perNode)
-	}
-}
-
 func TestAllocationsDisjointProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		m := core.New(core.Origin2000(2))
@@ -468,8 +452,9 @@ func TestTable1LatenciesResolvesPresets(t *testing.T) {
 }
 
 func TestArrayStatsAttribution(t *testing.T) {
-	m := core.New(core.Origin2000(8))
-	m.EnableArrayStats()
+	cfg := core.Origin2000(8)
+	cfg.Trace.Enabled = true
+	m := core.New(cfg)
 	local := m.Alloc("local.data", 4096, 8)
 	local.PlaceAtNode(0)
 	remote := m.Alloc("remote.data", 4096, 8)
@@ -514,7 +499,7 @@ func TestArrayStatsOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.ArrayStats() != nil {
-		t.Error("stats should be nil when not enabled")
+		t.Error("stats should be nil when the tracer is off")
 	}
 }
 

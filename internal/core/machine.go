@@ -57,9 +57,8 @@ type Machine struct {
 
 	cycle     sim.Time // one processor cycle
 	nextAddr  uint64
-	nodePages []int       // pages homed per node (for NodeMemBytes spill)
-	maxNodePg int         // 0 = unbounded
-	arrays    *arrayIndex // per-allocation attribution (nil = off)
+	allocs    []*Array // every allocation, in ascending address order
+	nodePages []int    // pages homed per node (recorded in checkpoints)
 
 	ckpt      *ckptState    // nil unless Config.Checkpoint is armed
 	syncSnaps []syncSnapReg // registered sync-primitive state providers
@@ -69,9 +68,6 @@ type Machine struct {
 func New(cfg Config) *Machine {
 	cfg.normalize()
 	numNodes := (cfg.Procs + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode
-	if cfg.ForceNodes > numNodes {
-		numNodes = cfg.ForceNodes
-	}
 	numRouters := (numNodes + NodesPerRouter - 1) / NodesPerRouter
 	// The scenario declares the interconnect and the directory's sharer
 	// format. normalize validated it; the default spec builds exactly the
@@ -113,12 +109,6 @@ func New(cfg Config) *Machine {
 	}
 	m.pages = mempolicy.NewTable(numNodes, cfg.Placement, m.migrator)
 	m.pages.OnRemap = m.pageRemapped
-	if cfg.NodeMemBytes > 0 {
-		m.maxNodePg = int(cfg.NodeMemBytes / mempolicy.PageBytes)
-		if m.maxNodePg < 1 {
-			m.maxNodePg = 1
-		}
-	}
 	m.mapping = cfg.Mapping
 	if m.mapping == nil {
 		m.mapping = topology.Linear(cfg.Procs)
@@ -345,21 +335,6 @@ func (m *Machine) Result() perf.Result {
 	return r
 }
 
-// spill returns desired, or the next node with page capacity when desired
-// is full (NodeMemBytes bound).
-func (m *Machine) spill(desired int) int {
-	if m.maxNodePg == 0 || m.nodePages[desired] < m.maxNodePg {
-		return desired
-	}
-	for off := 1; off < m.numNodes; off++ {
-		n := (desired + off) % m.numNodes
-		if m.nodePages[n] < m.maxNodePg {
-			return n
-		}
-	}
-	return desired // machine totally full: overload rather than fail
-}
-
 // homeOf resolves the home node of a page, placing it by the default
 // policy on its first touch (from touchNode).
 func (m *Machine) homeOf(page uint64, touchNode int) int {
@@ -369,18 +344,17 @@ func (m *Machine) homeOf(page uint64, touchNode int) int {
 	return m.place(page, m.pages.Choose(page, touchNode))
 }
 
-// place homes an unplaced page at node, or at the next node with capacity
-// when node is full, and returns the home. Page state is indexed by page
-// number, so a page Alloc never handed out is a caller bug: place panics
-// naming it rather than grow every page-indexed array to reach it.
+// place homes an unplaced page at node and returns the home. Page state is
+// indexed by page number, so a page Alloc never handed out is a caller bug:
+// place panics naming it rather than grow every page-indexed array to
+// reach it.
 func (m *Machine) place(page uint64, node int) int {
 	if n := m.numPages(); page >= uint64(n) {
 		panic(fmt.Sprintf("core: page %#x is beyond the %d pages allocated", page, n))
 	}
-	h := m.spill(node)
-	m.pages.SetHome(page, h)
-	m.nodePages[h]++
-	return h
+	m.pages.SetHome(page, node)
+	m.nodePages[node]++
+	return node
 }
 
 // routerOfNode returns the router a node hangs off.

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"origin2000/internal/memclass"
-	"origin2000/internal/sharing"
-)
+import "origin2000/internal/sharing"
 
 // Sharing-classifier glue: the machine owns an optional *sharing.Observer
 // (built when Config.Sharing.Enabled) and every observation site in the
@@ -31,27 +28,4 @@ func (m *Machine) SharingReport(top int) *sharing.Report {
 		return nil
 	}
 	return m.sharing.Report(top)
-}
-
-// sharingHit records a cache hit (no-op when sharing is off).
-func (p *Proc) sharingHit(block, addr uint64, write bool) {
-	if sh := p.m.sharing; sh != nil {
-		sh.OnHit(p.ID(), block, sharing.WordOf(addr), write)
-	}
-}
-
-// sharingMiss records a classified demand miss with its home attribution
-// and invalidation fanout (no-op when sharing is off).
-func (p *Proc) sharingMiss(block, addr uint64, write bool, class memclass.Class, home int, fanout int) {
-	if sh := p.m.sharing; sh != nil {
-		sh.OnMiss(p.ID(), block, sharing.WordOf(addr), write, class, home, pageOfBlock(block), fanout)
-	}
-}
-
-// sharingUpgrade records a shared-to-exclusive upgrade (no-op when sharing
-// is off).
-func (p *Proc) sharingUpgrade(block, addr uint64, fanout int) {
-	if sh := p.m.sharing; sh != nil {
-		sh.OnUpgrade(p.ID(), block, sharing.WordOf(addr), fanout)
-	}
 }

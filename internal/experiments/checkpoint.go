@@ -170,17 +170,6 @@ func (s Scale) ResumeConfig(app workload.App, cfg core.Config, params workload.P
 	return r, err
 }
 
-// ReplayTo re-executes app from the start with the coherence checker
-// enabled and stops at the given quiescent sequence, returning the machine
-// for inspection (its checker holds every violation detected on the
-// prefix). The deliberate stop is not an error.
-func (s Scale) ReplayTo(app workload.App, procs int, params workload.Params, stopAtSeq int64) (*core.Machine, error) {
-	cfg := s.Machine(procs)
-	cfg.Check = true
-	cfg.Checkpoint.StopAtSeq = stopAtSeq
-	return s.replay(app, cfg, params)
-}
-
 // replayConfig reconstructs the machine configuration recorded in a
 // snapshot's header — the exact topology, latencies, and mapping of the
 // run that produced it — with capture disabled and the coherence checker
@@ -249,10 +238,16 @@ type BisectReport struct {
 // replays the run with the online checker up to that point to confirm and
 // pinpoint the fault. The static audit verdict is monotone for persistent
 // corruption — once a stale line exists it stays until the (never-arriving)
-// invalidation — which is what makes binary search sound.
+// invalidation — which is what makes binary search sound. Every snapshot
+// is validated first, since the audit indexes its arrays by geometry.
 func (s Scale) BisectViolation(app workload.App, procs int, params workload.Params, snaps []*snapshot.Snapshot) (*BisectReport, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("experiments: bisect: no snapshots")
+	}
+	for i, sn := range snaps {
+		if err := sn.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: bisect: snapshot %d: %w", i, err)
+		}
 	}
 	bad := func(i int) []snapshot.StateViolation { return snapshot.AuditState(snaps[i]) }
 	lastAudit := bad(len(snaps) - 1)

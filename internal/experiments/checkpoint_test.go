@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -283,6 +284,24 @@ func TestBisectCleanRun(t *testing.T) {
 	}
 	if rep.FirstBad != -1 {
 		t.Fatalf("clean run bisected to snapshot %d: %v", rep.FirstBad, rep.Audit)
+	}
+}
+
+// TestBisectValidatesCheckpoints: a checkpoint that decodes but whose
+// cache arrays disagree with their geometry must fail bisection with a
+// FormatError naming the section, not panic inside the audit.
+func TestBisectValidatesCheckpoints(t *testing.T) {
+	sn, err := snapshot.ReadFile("../snapshot/testdata/originckpt_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn.Caches[0].Tags = sn.Caches[0].Tags[:1]
+	app := AppByName(sn.Header.Spec.App)
+	s := Scale{Div: sn.Header.Spec.Div, CacheDiv: sn.Header.Spec.CacheDiv}
+	_, err = s.BisectViolation(app, sn.Header.Procs, SpecParams(sn.Header.Spec), []*snapshot.Snapshot{sn})
+	var fe *snapshot.FormatError
+	if !errors.As(err, &fe) || fe.Section != "caches" {
+		t.Fatalf("BisectViolation = %v, want a FormatError in section \"caches\"", err)
 	}
 }
 

@@ -327,7 +327,7 @@ type seqKey struct {
 	variant string
 }
 
-// runKey caches parallel efficiency-measurement runs.
+// runKey caches the elapsed times of parallel efficiency measurements.
 type runKey struct {
 	app     string
 	size    int
@@ -340,7 +340,7 @@ type runKey struct {
 type Session struct {
 	Scale Scale
 	seq   map[seqKey]sim.Time
-	runs  map[runKey]RunResult
+	runs  map[runKey]sim.Time
 }
 
 // NewSession creates a measurement session at the given scale.
@@ -348,7 +348,7 @@ func NewSession(s Scale) *Session {
 	return &Session{
 		Scale: s.normalize(),
 		seq:   make(map[seqKey]sim.Time),
-		runs:  make(map[runKey]RunResult),
+		runs:  make(map[runKey]sim.Time),
 	}
 }
 
@@ -375,33 +375,32 @@ func (se *Session) Sequential(app workload.App, paperSize int) (sim.Time, error)
 	return se.sequentialAt(app, se.Scale.Size(app, paperSize))
 }
 
-// Efficiency measures parallel efficiency of app at a paper-scale size
-// (Size scaling).
-func (se *Session) Efficiency(app workload.App, procs, paperSize int, variant string) (float64, RunResult, error) {
-	return se.efficiencyAt(app, procs, se.Scale.Params(app, paperSize, variant))
-}
-
-// SweepEfficiency measures parallel efficiency at a sweep point
-// (SweepSize scaling).
-func (se *Session) SweepEfficiency(app workload.App, procs, paperSize int, variant string) (float64, RunResult, error) {
-	return se.efficiencyAt(app, procs, se.Scale.SweepParams(app, paperSize, variant))
-}
-
-func (se *Session) efficiencyAt(app workload.App, procs int, params workload.Params) (float64, RunResult, error) {
-	seq, err := se.sequentialAt(app, params.Size)
-	if err != nil {
-		return 0, RunResult{}, err
-	}
-	key := runKey{app.Name(), params.Size, params.Variant, procs}
-	r, ok := se.runs[key]
-	if !ok {
-		r, err = se.Scale.Run(app, procs, params)
+// SweepSeries measures one efficiency-versus-size curve: app at procs
+// processors over its sweep sizes, with X the SweepSize-scaled sizes.
+// Figures 4 and 9 and origin-sweep plot these points; the caller labels
+// the series.
+func (se *Session) SweepSeries(app workload.App, procs int, variant string) (perf.Series, error) {
+	var s perf.Series
+	for _, size := range app.SweepSizes() {
+		params := se.Scale.SweepParams(app, size, variant)
+		seq, err := se.sequentialAt(app, params.Size)
 		if err != nil {
-			return 0, RunResult{}, err
+			return perf.Series{}, err
 		}
-		se.runs[key] = r
+		key := runKey{app.Name(), params.Size, params.Variant, procs}
+		elapsed, ok := se.runs[key]
+		if !ok {
+			r, err := se.Scale.Run(app, procs, params)
+			if err != nil {
+				return perf.Series{}, err
+			}
+			elapsed = r.Elapsed
+			se.runs[key] = elapsed
+		}
+		s.X = append(s.X, float64(params.Size))
+		s.Y = append(s.Y, perf.Efficiency(seq, elapsed, procs))
 	}
-	return perf.Efficiency(seq, r.Elapsed, procs), r, nil
+	return s, nil
 }
 
 // fprintf writes formatted output, ignoring errors (experiment output is

@@ -78,30 +78,35 @@ var figure4Procs = []int{32, 64, 128}
 
 // Figure4 regenerates parallel efficiency versus problem size per app.
 func Figure4(se *Session, w io.Writer) error {
-	procs := se.Scale.procCounts(figure4Procs)
 	fprintf(w, "Figure 4: impact of problem size on parallel efficiency\n\n")
 	for _, app := range Apps() {
-		var series []perf.Series
-		markers := []byte{'a', 'b', 'c', 'd'}
-		for pi, p := range procs {
-			if p > app.MaxProcs() {
-				continue
-			}
-			s := perf.Series{Label: fmt.Sprintf("%d procs", p), Marker: markers[pi%len(markers)]}
-			for _, size := range app.SweepSizes() {
-				eff, err := se.sweepPoint(app, p, size, "")
-				if err != nil {
-					return err
-				}
-				s.X = append(s.X, float64(se.Scale.SweepSize(app, size)))
-				s.Y = append(s.Y, eff)
-			}
-			series = append(series, s)
+		series, err := Figure4Panel(se, app)
+		if err != nil {
+			return err
 		}
 		fprintf(w, "%s (x = %s)\n%s\n", app.Name(), app.Unit(),
 			perf.Curves(series, 60, 12, 1.2))
 	}
 	return nil
+}
+
+// Figure4Panel measures app's panel of Figure 4: one curve per processor
+// count the app runs at.
+func Figure4Panel(se *Session, app workload.App) ([]perf.Series, error) {
+	markers := []byte{'a', 'b', 'c', 'd'}
+	var series []perf.Series
+	for pi, p := range se.Scale.procCounts(figure4Procs) {
+		if p > app.MaxProcs() {
+			continue
+		}
+		s, err := se.SweepSeries(app, p, "")
+		if err != nil {
+			return nil, err
+		}
+		s.Label, s.Marker = fmt.Sprintf("%d procs", p), markers[pi%len(markers)]
+		series = append(series, s)
+	}
+	return series, nil
 }
 
 // breakdownFigure holds the setup of one per-processor breakdown figure.
@@ -175,24 +180,16 @@ func Figure9(se *Session, w io.Writer) error {
 		if p > app.MaxProcs() {
 			p = app.MaxProcs()
 		}
-		var orig, rest perf.Series
-		orig = perf.Series{Label: "original", Marker: 'o'}
-		rest = perf.Series{Label: rc.variant, Marker: '+'}
-		for _, size := range app.SweepSizes() {
-			effO, err := se.sweepPoint(app, p, size, "")
-			if err != nil {
-				return err
-			}
-			effR, err := se.sweepPoint(app, p, size, rc.variant)
-			if err != nil {
-				return err
-			}
-			x := float64(se.Scale.SweepSize(app, size))
-			orig.X = append(orig.X, x)
-			orig.Y = append(orig.Y, effO)
-			rest.X = append(rest.X, x)
-			rest.Y = append(rest.Y, effR)
+		orig, err := se.SweepSeries(app, p, "")
+		if err != nil {
+			return err
 		}
+		rest, err := se.SweepSeries(app, p, rc.variant)
+		if err != nil {
+			return err
+		}
+		orig.Label, orig.Marker = "original", 'o'
+		rest.Label, rest.Marker = rc.variant, '+'
 		fprintf(w, "%s vs %q at %d processors (x = %s)\n%s\n",
 			rc.app, rc.variant, p, app.Unit(),
 			perf.Curves([]perf.Series{orig, rest}, 60, 12, 1.2))

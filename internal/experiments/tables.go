@@ -10,7 +10,6 @@ import (
 	"origin2000/internal/mempolicy"
 	"origin2000/internal/perf"
 	"origin2000/internal/sim"
-	"origin2000/internal/workload"
 )
 
 // LatencyProbe measures local, remote-clean and remote-dirty read miss
@@ -216,11 +215,4 @@ func Table3(se *Session, w io.Writer) error {
 	fprintf(w, "Table 3: speedups at %d processors under different data distributions\n", procs)
 	fprintf(w, "%s\n", perf.Table(rows))
 	return nil
-}
-
-// sweepPoint measures parallel efficiency at one (app, size, procs, variant)
-// using the ratio-preserving sweep scaling.
-func (se *Session) sweepPoint(app workload.App, procs, paperSize int, variant string) (float64, error) {
-	eff, _, err := se.SweepEfficiency(app, procs, paperSize, variant)
-	return eff, err
 }

@@ -94,6 +94,37 @@ func TestOceanTraceAttribution(t *testing.T) {
 	}
 }
 
+// TestArrayStatsAccountAllStall: the per-allocation table, folded from
+// the tracer's page heat, must account for every miss, every upgrade's
+// stall and every invalidation the processors counted. Ocean/16 upgrades
+// often, so a table that skipped upgrades would miss part of its memory
+// stall and invalidations.
+func TestArrayStatsAccountAllStall(t *testing.T) {
+	m := traceRun(t, Scale{Div: 64, CacheDiv: 64}, "Ocean", 16, trace.Options{Enabled: true})
+	c := m.Result().Counters
+	if c.Upgrades == 0 || c.Invalidations == 0 {
+		t.Fatalf("%d upgrades, %d invalidations: the check is vacuous", c.Upgrades, c.Invalidations)
+	}
+	var sum core.ArrayStats
+	for _, a := range m.ArrayStats() {
+		sum.LocalMisses += a.LocalMisses
+		sum.RemoteClean += a.RemoteClean
+		sum.RemoteDirty += a.RemoteDirty
+		sum.Invals += a.Invals
+		sum.Stall += a.Stall
+	}
+	if sum.LocalMisses != c.LocalMisses || sum.RemoteClean != c.RemoteClean || sum.RemoteDirty != c.RemoteDirty {
+		t.Errorf("arrays hold %d/%d/%d local/remote-clean/remote-dirty misses, processors counted %d/%d/%d",
+			sum.LocalMisses, sum.RemoteClean, sum.RemoteDirty, c.LocalMisses, c.RemoteClean, c.RemoteDirty)
+	}
+	if want := c.LocalStall + c.RemoteStall; sum.Stall != want {
+		t.Errorf("arrays' stall sums to %v, processors' local plus remote stall is %v", sum.Stall, want)
+	}
+	if sum.Invals != c.Invalidations {
+		t.Errorf("arrays' invalidations sum to %d, processors sent %d", sum.Invals, c.Invalidations)
+	}
+}
+
 // TestOnMachineSeesFailedRuns pins the flight-recorder contract RunConfig
 // gives CI: OnMachine hands over the machine, labeled, even when the run
 // then fails, so the failing execution's trace can be exported.

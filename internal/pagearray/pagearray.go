@@ -53,7 +53,7 @@ func (a *Array[H, B]) Grow(n int) {
 // array does not cover is a caller bug, and Page panics naming it.
 func (a *Array[H, B]) Page(page uint64) *Page[H, B] {
 	if page >= uint64(len(a.pages)) {
-		panic(fmt.Sprintf("pagearray: page %#x is beyond the %d pages sized", page, len(a.pages)))
+		panic(beyondError{page, len(a.pages)})
 	}
 	pg := a.pages[page]
 	if pg == nil {
@@ -61,6 +61,18 @@ func (a *Array[H, B]) Page(page uint64) *Page[H, B] {
 		a.pages[page] = pg
 	}
 	return pg
+}
+
+// beyondError is Page's panic value for a page the array does not cover.
+// The message is formatted only when the panic is printed, outside Page,
+// so that Page and Block stay within the compiler's inlining budget.
+type beyondError struct {
+	page uint64
+	n    int
+}
+
+func (e beyondError) Error() string {
+	return fmt.Sprintf("pagearray: page %#x is beyond the %d pages sized", e.page, e.n)
 }
 
 // Peek returns page's record, or nil if the page was never touched or lies

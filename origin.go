@@ -64,9 +64,10 @@ type Result = perf.Result
 // Breakdown is one processor's Busy/Memory/Sync split.
 type Breakdown = perf.Breakdown
 
-// ArrayStats attributes misses and stall time to one named allocation —
-// the introspection the paper's Section 8 wished the real machine had.
-// Enable with Machine.EnableArrayStats before allocating.
+// ArrayStats attributes misses, upgrades and their stall time to one named
+// allocation — the introspection the paper's Section 8 wished the real
+// machine had. Machine.ArrayStats folds them from the tracer's per-page
+// heat, so they need Config.Trace enabled.
 type ArrayStats = core.ArrayStats
 
 // PhaseBreakdown is the cross-processor time total of one phase labeled
