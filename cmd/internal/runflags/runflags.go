@@ -8,12 +8,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
 
 	"origin2000/internal/experiments"
 	"origin2000/internal/scenario"
+	"origin2000/internal/sim"
 	"origin2000/internal/workload"
 )
 
@@ -124,6 +126,17 @@ func Variant(app workload.App, v string) error {
 		quoted[i] = strconv.Quote(x)
 	}
 	return fmt.Errorf("%s has no variant %q (variants: %s)", app.Name(), v, strings.Join(quoted, ", "))
+}
+
+// Micros converts us microseconds, the value of flag or query key name, to
+// virtual time. It refuses a negative count, and one whose picosecond
+// product would overflow sim.Time and wrap to a short interval.
+func Micros(name string, us int64) (sim.Time, error) {
+	const most = int64(math.MaxInt64 / sim.Microsecond)
+	if us < 0 || us > most {
+		return 0, fmt.Errorf("%s %d: want a count of microseconds from 0 to %d", name, us, most)
+	}
+	return sim.Time(us) * sim.Microsecond, nil
 }
 
 // AtLeast returns an error naming flag -name when its value v is below

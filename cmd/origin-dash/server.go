@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 
+	"origin2000/cmd/internal/runflags"
 	"origin2000/internal/core"
 	"origin2000/internal/experiments"
 	"origin2000/internal/hostprof"
@@ -113,19 +115,25 @@ func (s *server) runEvent(rs *runState) sseEvent {
 	return sseEvent{name: "run", data: b}
 }
 
-// handleStart launches a sweep: one run per requested processor count.
-func (s *server) handleStart(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+// startQuery is one parsed /api/start request: the sweep to launch.
+type startQuery struct {
+	app      workload.App
+	procs    []int
+	scale    int
+	interval sim.Time // 0 selects the sampler's default
+	spec     scenario.Spec
+}
+
+// parseStart parses and checks /api/start's query. It starts no run.
+func (s *server) parseStart(q url.Values) (startQuery, error) {
 	appName := q.Get("app")
 	if appName == "" {
 		appName = "FFT"
 	}
-	app := experiments.AppByName(appName)
-	if app == nil {
-		http.Error(w, fmt.Sprintf("unknown app %q", appName), http.StatusBadRequest)
-		return
+	sq := startQuery{app: experiments.AppByName(appName), scale: s.defaultScale, spec: s.scenario}
+	if sq.app == nil {
+		return sq, fmt.Errorf("unknown app %q", appName)
 	}
-	var procCounts []int
 	procSpec := q.Get("procs")
 	if procSpec == "" {
 		procSpec = "4,8"
@@ -133,67 +141,70 @@ func (s *server) handleStart(w http.ResponseWriter, r *http.Request) {
 	for _, f := range strings.Split(procSpec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad procs %q", f), http.StatusBadRequest)
-			return
+			return sq, fmt.Errorf("bad procs %q", f)
 		}
-		procCounts = append(procCounts, n)
+		sq.procs = append(sq.procs, n)
 	}
-	scaleDiv := s.defaultScale
 	if v := q.Get("scale"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad scale %q", v), http.StatusBadRequest)
-			return
+			return sq, fmt.Errorf("bad scale %q", v)
 		}
-		scaleDiv = n
+		sq.scale = n
 	}
-	var interval sim.Time
 	if v := q.Get("interval_us"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad interval_us %q", v), http.StatusBadRequest)
-			return
+			return sq, fmt.Errorf("bad interval_us %q", v)
 		}
-		interval = sim.Time(n) * sim.Microsecond
+		if sq.interval, err = runflags.Micros("interval_us", n); err != nil {
+			return sq, err
+		}
 	}
-	spec := s.scenario
 	if v := q.Get("scenario"); v != "" {
 		sc, err := scenario.Load(v)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return sq, err
 		}
-		spec = sc
+		sq.spec = sc
 	}
-	for _, procs := range procCounts {
-		if err := spec.Validate(procs); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	for _, procs := range sq.procs {
+		if err := sq.spec.Validate(procs); err != nil {
+			return sq, err
 		}
 	}
+	return sq, nil
+}
 
-	ids := make([]int, 0, len(procCounts))
+// handleStart launches a sweep: one run per requested processor count.
+func (s *server) handleStart(w http.ResponseWriter, r *http.Request) {
+	sq, err := s.parseStart(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ids := make([]int, 0, len(sq.procs))
 	s.mu.Lock()
-	for _, procs := range procCounts {
-		label := fmt.Sprintf("%s p%d /%d", appName, procs, scaleDiv)
-		if !spec.IsDefault() {
-			label += " @" + spec.Name
+	for _, procs := range sq.procs {
+		label := fmt.Sprintf("%s p%d /%d", sq.app.Name(), procs, sq.scale)
+		if !sq.spec.IsDefault() {
+			label += " @" + sq.spec.Name
 		}
 		rs := &runState{
 			ID:           len(s.runs),
 			Label:        label,
-			App:          appName,
+			App:          sq.app.Name(),
 			Procs:        procs,
 			Status:       "running",
-			Scenario:     spec.Name,
-			ScenarioHash: spec.Hash(),
+			Scenario:     sq.spec.Name,
+			ScenarioHash: sq.spec.Hash(),
 		}
 		s.runs = append(s.runs, rs)
 		ids = append(ids, rs.ID)
 	}
 	s.mu.Unlock()
 
-	go s.sweep(app, spec, ids, procCounts, scaleDiv, interval)
+	go s.sweep(sq.app, sq.spec, ids, sq.procs, sq.scale, sq.interval)
 
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"runs": ids})

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"origin2000/internal/hostprof"
 	"origin2000/internal/metrics"
 	"origin2000/internal/scenario"
+	"origin2000/internal/sim"
 	"origin2000/internal/trace"
 )
 
@@ -340,4 +343,58 @@ func get(t *testing.T, url string) string {
 		t.Fatalf("GET %s: %s\n%s", url, resp.Status, body)
 	}
 	return string(body)
+}
+
+// FuzzStartQuery drives /api/start's parser with arbitrary queries. No
+// query may panic, and an accepted one must describe a sweep the machine
+// can run: every processor count at least 1 and within the scenario's
+// directory capacity, a scale of at least 1, and, when interval_us is
+// given, an interval of exactly that many microseconds.
+func FuzzStartQuery(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"app=FFT&procs=4&scale=64",
+		"app=Ocean&procs=4,8,16&interval_us=50&scenario=mesh",
+		"procs=200&scenario=limited",
+		"procs=0",
+		"procs=4,,8",
+		"scale=-1",
+		"interval_us=18446744073710",
+		"interval_us=9223372036854",
+		"interval_us=-5",
+		"app=Nope",
+	} {
+		f.Add(q)
+	}
+	srv := newServer(64)
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // as Request.URL.Query does
+		sq, err := srv.parseStart(q)
+		if err != nil {
+			return
+		}
+		format, err := sq.spec.Format()
+		if err != nil {
+			t.Fatalf("accepted scenario %q has no directory format: %v", q.Get("scenario"), err)
+		}
+		if len(sq.procs) == 0 {
+			t.Fatal("accepted a sweep with no processor count")
+		}
+		for _, p := range sq.procs {
+			if p < 1 || p > format.Capacity() {
+				t.Errorf("accepted %d processors; the %s format holds 1 to %d", p, format.Kind(), format.Capacity())
+			}
+		}
+		if sq.scale < 1 {
+			t.Errorf("accepted scale %d", sq.scale)
+		}
+		if v := q.Get("interval_us"); v != "" {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || sq.interval <= 0 || sq.interval%sim.Microsecond != 0 || int64(sq.interval/sim.Microsecond) != n {
+				t.Errorf("interval_us=%q became an interval of %d ps", v, sq.interval)
+			}
+		} else if sq.interval != 0 {
+			t.Errorf("no interval_us, but an interval of %d ps", sq.interval)
+		}
+	})
 }

@@ -58,18 +58,20 @@ func main() {
 	)
 	flag.Parse()
 
+	every, err := runflags.Micros("-interval", *interval)
 	if err := errors.Join(
 		runflags.AtLeast("procs", *procs, 1),
 		runflags.AtLeast("scale", *scale, 1),
 		runflags.AtLeast("size", *size, 0),
 		runflags.AtLeast("steps", *steps, 0),
+		err,
 	); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	base := runBase{
 		appName: *appName, procs: *procs, size: *size, scale: *scale,
-		steps: *steps, seed: *seed, interval: sim.Time(*interval) * sim.Microsecond,
+		steps: *steps, seed: *seed, interval: every,
 		critpath: *critF,
 	}
 	a, err := resolveSide(*sideA, base)
@@ -207,6 +209,9 @@ func runSpec(spec string, base runBase) (metrics.Artifact, error) {
 	if err := applySpec(spec, app, &cfg, &params); err != nil {
 		return metrics.Artifact{}, specError{err}
 	}
+	if err := cfg.Validate(); err != nil {
+		return metrics.Artifact{}, specError{fmt.Errorf("procs=%d: %w", cfg.Procs, err)}
+	}
 
 	var m *core.Machine
 	s.OnMachine = func(_ string, mm *core.Machine) { m = mm }
@@ -237,24 +242,22 @@ func applySpec(spec string, app workload.App, cfg *core.Config, params *workload
 			default:
 				return fmt.Errorf("placement=%q (want ft or rr)", val)
 			}
-		case "migrate":
+		case "migrate", "ppn", "procs":
+			dst, floor := &cfg.Procs, 1
+			switch key {
+			case "migrate":
+				dst, floor = &cfg.MigrationThreshold, 0 // 0 turns migration off
+			case "ppn":
+				dst = &cfg.ProcsPerNode
+			}
 			n, err := strconv.Atoi(val)
 			if err != nil {
-				return fmt.Errorf("migrate=%q: %v", val, err)
+				return fmt.Errorf("%s=%q: %v", key, val, err)
 			}
-			cfg.MigrationThreshold = n
-		case "ppn":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("ppn=%q: %v", val, err)
+			if n < floor {
+				return fmt.Errorf("%s=%d: must be at least %d", key, n, floor)
 			}
-			cfg.ProcsPerNode = n
-		case "procs":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("procs=%q: %v", val, err)
-			}
-			cfg.Procs = n
+			*dst = n
 		case "variant":
 			if err := runflags.Variant(app, val); err != nil {
 				return fmt.Errorf("variant=%q: %w", val, err)

@@ -69,6 +69,22 @@ func TestApplySpecRejectsUnknownKeys(t *testing.T) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
+	// Values a run cannot use fail as spec errors naming their key, before
+	// anything runs: procs and ppn below 1, a negative migration
+	// threshold, and a machine the scenario's directory cannot hold.
+	for spec, want := range map[string]string{
+		"procs=0":    "procs=0",
+		"procs=-2":   "procs=-2",
+		"ppn=0":      "ppn=0",
+		"ppn=-3":     "ppn=-3",
+		"migrate=-5": "migrate=-5",
+		"procs=300":  "procs=300: ",
+	} {
+		_, err := runSpec(spec, base)
+		if !errors.As(err, new(specError)) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a spec error naming %q", spec, err, want)
+		}
+	}
 	var params workload.Params
 	var cfg core.Config
 	if err := applySpec("variant=offnode", experiments.AppByName("FFT"), &cfg, &params); err != nil || params.Variant != "offnode" {

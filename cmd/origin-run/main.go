@@ -92,6 +92,9 @@ func main() {
 		return
 	}
 	run, err := rf.Resolve()
+	if err == nil {
+		err = runflags.AtLeast("ppn", *ppn, 1)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "origin-run:", err)
 		os.Exit(2)

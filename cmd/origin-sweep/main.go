@@ -57,6 +57,11 @@ func main() {
 			procs = append(procs, v)
 		}
 	}
+	if len(procs) == 0 {
+		fmt.Fprintf(os.Stderr, "-procs %s: no count within %s's limit of %d processors\n",
+			*procsList, app.Name(), app.MaxProcs())
+		os.Exit(2)
+	}
 	var specs []scenario.Spec
 	for _, tok := range strings.Split(*scenarios, ",") {
 		sc, err := scenario.Load(strings.TrimSpace(tok))

@@ -269,25 +269,12 @@ func (b *blockMirror) drop(proc int) {
 // grows the array on demand.
 type mirrorPage = pagearray.Page[struct{}, blockMirror]
 
-// DirView is the directory state the checker audits against. A single
-// *directory.Directory satisfies it directly; the machine's sharded build
-// passes an aggregate view that routes each block to the directory of its
-// home node and iterates the per-node directories in node order.
-type DirView interface {
-	// Entry returns the directory entry for block.
-	Entry(block uint64) directory.Entry
-	// ForEach visits every block with active state, deterministically.
-	ForEach(fn func(block uint64, e directory.Entry))
-	// Check audits the directory's internal invariants.
-	Check() error
-}
-
 // Checker is the online coherence-invariant checker. It is not safe for
 // concurrent use; the simulation engine serializes the event stream (the
 // machine forces the windowed engine onto one worker when checking), which
 // is exactly what the mirror-state updates need.
 type Checker struct {
-	dir    DirView
+	dir    *directory.Directory
 	caches []*cache.Cache
 	clocks []sim.Time
 
@@ -304,8 +291,8 @@ type Checker struct {
 }
 
 // New creates a checker for a machine with nprocs processors over the given
-// directory view. Caches are attached as the machine builds them.
-func New(nprocs int, dir DirView) *Checker {
+// directory. Caches are attached as the machine builds them.
+func New(nprocs int, dir *directory.Directory) *Checker {
 	return &Checker{
 		dir:           dir,
 		caches:        make([]*cache.Cache, nprocs),

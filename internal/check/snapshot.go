@@ -29,7 +29,7 @@ type BlockSnap struct {
 
 // Snap is the checker's full serializable state: every block mirror in
 // ascending block order, the per-processor clocks, the violation log, and
-// the event counter. The directory view and cache attachments are wiring,
+// the event counter. The directory and cache attachments are wiring,
 // not state.
 type Snap struct {
 	Blocks        []BlockSnap  `json:"blocks"`

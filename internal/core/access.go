@@ -118,7 +118,7 @@ func (p *Proc) transaction(block uint64, home int, write bool) (complete sim.Tim
 	var invalidate, extra []int
 	var owner = -1
 	if write {
-		res := m.dirs[home].Write(block, p.ID())
+		res := m.dir.Write(block, p.ID())
 		invalidate = res.Invalidate
 		extra = res.Extra
 		if res.Dirty {
@@ -129,7 +129,7 @@ func (p *Proc) transaction(block uint64, home int, write bool) (complete sim.Tim
 			ck.OnDirWrite(block, p.ID(), res, p.sp.Now())
 		}
 	} else {
-		res := m.dirs[home].Read(block, p.ID())
+		res := m.dir.Read(block, p.ID())
 		if res.Dirty {
 			dirty = true
 			owner = res.Owner
@@ -299,7 +299,7 @@ func (p *Proc) demandMiss(block, addr uint64, write bool, kind sim.StatKind) {
 	}
 	if tr := m.tracer; tr != nil {
 		tr.Miss(p.ID(), p.sp.Now(), latency, block, page, home,
-			invals, m.dirs[home].SharerWidth(block), missKind[class])
+			invals, m.dir.SharerWidth(block), missKind[class])
 	}
 
 	if remote {
@@ -340,7 +340,7 @@ func (p *Proc) upgrade(block, addr uint64, kind sim.StatKind) {
 	c.ContentionStall += queued
 	if tr := p.m.tracer; tr != nil {
 		tr.Miss(p.ID(), p.sp.Now(), latency, block, page, home,
-			invals, p.m.dirs[home].SharerWidth(block), trace.EvUpgrade)
+			invals, p.m.dir.SharerWidth(block), trace.EvUpgrade)
 	}
 	p.sp.Advance(latency, kind)
 	p.tickMetrics()
@@ -361,7 +361,7 @@ func (p *Proc) evictVictim(v cache.Victim, at sim.Time) {
 			m.hubs[vhome].Acquire(at, lat.WritebackOcc)
 		}
 		m.mems[vhome].Acquire(at, lat.WritebackOcc)
-		m.dirs[vhome].Writeback(v.Block, p.ID())
+		m.dir.Writeback(v.Block, p.ID())
 		p.sp.Counters.Writebacks++
 		if ck := m.check; ck != nil {
 			ck.OnWriteback(p.ID(), v.Block, p.sp.Now())
@@ -370,7 +370,7 @@ func (p *Proc) evictVictim(v cache.Victim, at sim.Time) {
 			tr.Writeback(p.ID(), at, v.Block, vpage, vhome)
 		}
 	} else {
-		m.dirs[vhome].Evict(v.Block, p.ID())
+		m.dir.Evict(v.Block, p.ID())
 		if ck := m.check; ck != nil {
 			ck.OnEvict(p.ID(), v.Block, p.sp.Now())
 		}
@@ -385,7 +385,7 @@ func (p *Proc) recordMigration(page uint64, oldHome int, at sim.Time, kind sim.S
 		return
 	}
 	// The page table's OnRemap hook (Machine.pageRemapped) moves the page's
-	// directory records from the old home's directory to the new one.
+	// share of the directory's state counts from the old home to the new.
 	newHome, migrated := m.pages.RecordRemoteMiss(page, p.node)
 	if !migrated {
 		return

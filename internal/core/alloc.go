@@ -39,9 +39,11 @@ func (m *Machine) Alloc(name string, n, elemSize int) *Array {
 		pages:    pages,
 	}
 	m.nextAddr += uint64(pages) * mempolicy.PageBytes
+	// Applications allocate before Run, so the directory and the tracer's
+	// heat index are sized while no processor runs, and no transition
+	// grows them (see trace.Tracer.GrowPages).
+	m.dir.GrowPages(m.numPages())
 	if m.tracer != nil {
-		// Applications allocate before Run, so the heat index is sized
-		// while no processor runs (see trace.Tracer.GrowPages).
 		m.tracer.GrowPages(m.numPages())
 	}
 	m.allocs = append(m.allocs, a)

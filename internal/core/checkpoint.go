@@ -202,9 +202,7 @@ func (m *Machine) capture(seq int64, minNow sim.Time) *snapshot.Snapshot {
 	for _, p := range m.procs {
 		s.Caches = append(s.Caches, p.cache.Snap())
 	}
-	for _, d := range m.dirs {
-		s.Directories = append(s.Directories, d.Snap())
-	}
+	s.Directories = m.dir.Snaps()
 	s.MemPolicy = m.pages.Snap()
 	s.Resources.Hubs = resourceSnaps(m.hubs)
 	s.Resources.Mems = resourceSnaps(m.mems)

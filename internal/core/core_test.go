@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"origin2000/internal/core"
+	"origin2000/internal/experiments"
 	"origin2000/internal/mempolicy"
 	"origin2000/internal/scenario"
 	"origin2000/internal/sim"
@@ -39,23 +42,61 @@ func measureRead(t *testing.T, procs, homeNode, ownerProc int) sim.Time {
 	return stall
 }
 
+// hops is the router hop count between routers a and b on the Origin's
+// hypercube, which links up to 64 processors without a metarouter.
+func hops(a, b int) sim.Time { return sim.Time(bits.OnesCount(uint(a ^ b))) }
+
+// closedFormRead is the latency of a read miss on an idle machine of at
+// most 64 processors, written from Latencies and the hypercube's hop
+// counts, not from the transaction code. The requester is on node req and
+// the page is homed on node home; owner is the node whose cache holds the
+// block dirty, or -1 when memory supplies it. A local read (home == req)
+// is clean. The requester's router is acquired on the way out and again as
+// the home's router, so a remote read homed on the requester's router
+// queues behind itself for RouterOcc.
+func closedFormRead(l core.Latencies, req, home, owner int) sim.Time {
+	router := func(node int) int { return node / core.NodesPerRouter }
+	r, h := router(req), router(home)
+	if home == req {
+		return l.ProcOverhead + 2*l.HubTime + l.MemTime
+	}
+	t := l.ProcOverhead + 4*l.HubTime + l.MemTime + l.RemoteExtra
+	if h == r {
+		t += l.RouterOcc
+	}
+	if owner < 0 {
+		return t + 2*l.RouterTime*hops(r, h)
+	}
+	o := router(owner)
+	return t + l.CacheResponse + l.RouterTime*(hops(r, h)+hops(h, o)+hops(o, r))
+}
+
 func TestTable1LocalLatency(t *testing.T) {
 	// Processor 0 is on node 0; a local read miss must cost the paper's
 	// 338 ns.
 	got := measureRead(t, 64, 0, 0)
+	if want := closedFormRead(core.Origin2000Latencies(), 0, 0, -1); got != want {
+		t.Errorf("local miss = %v, closed form %v", got, want)
+	}
 	if got != 338*sim.Nanosecond {
 		t.Errorf("local miss = %v, want 338ns", got)
 	}
 }
 
 func TestTable1RemoteCleanLatency(t *testing.T) {
-	// Average over all remote homes on the 64-processor machine should
-	// land near the paper's 656 ns, and the ratio near 2:1.
+	// Every remote home on the 64-processor machine must cost the closed
+	// form, and the average should land near the paper's 656 ns, and the
+	// ratio near 2:1.
+	lat := core.Origin2000Latencies()
 	m := core.New(core.Origin2000(64))
 	nodes := m.NumNodes()
 	var sum sim.Time
 	for home := 1; home < nodes; home++ {
-		sum += measureRead(t, 64, home, 0)
+		got := measureRead(t, 64, home, 0)
+		if want := closedFormRead(lat, 0, home, -1); got != want {
+			t.Errorf("remote clean miss homed on node %d = %v, closed form %v", home, got, want)
+		}
+		sum += got
 	}
 	avg := sum / sim.Time(nodes-1)
 	if avg < 580*sim.Nanosecond || avg > 730*sim.Nanosecond {
@@ -68,12 +109,19 @@ func TestTable1RemoteCleanLatency(t *testing.T) {
 }
 
 func TestTable1RemoteDirtyLatency(t *testing.T) {
-	// Dirty in a third node: 3-hop transaction near the paper's 892 ns.
+	// Dirty in a third node: each 3-hop transaction must cost the closed
+	// form, and the average should land near the paper's 892 ns.
+	lat := core.Origin2000Latencies()
 	var sum sim.Time
 	samples := 0
 	for home := 1; home < 8; home++ {
-		owner := (home + 8) % 16 // a processor on yet another node
-		sum += measureRead(t, 64, home, owner*2)
+		owner := (home + 8) % 16 // a node other than the requester's and the home's
+		got := measureRead(t, 64, home, owner*2)
+		if want := closedFormRead(lat, 0, home, owner); got != want {
+			t.Errorf("remote dirty miss homed on node %d, owned on node %d = %v, closed form %v",
+				home, owner, got, want)
+		}
+		sum += got
 		samples++
 	}
 	avg := sum / sim.Time(samples)
@@ -83,6 +131,49 @@ func TestTable1RemoteDirtyLatency(t *testing.T) {
 	ratio := float64(avg) / float64(338*sim.Nanosecond)
 	if ratio < 2.3 || ratio > 3.2 {
 		t.Errorf("remote/local dirty ratio = %.2f, want ~3", ratio)
+	}
+}
+
+// TestLatencyProbeMatchesClosedForm checks Table 1's probe on every
+// preset: each of its three averages is the closed form averaged over the
+// same samples, with the same integer division, and rounds to the table's
+// printed nanoseconds.
+func TestLatencyProbeMatchesClosedForm(t *testing.T) {
+	printed := map[string][3]float64{
+		"origin2000": {338, 639, 785},
+		"exemplar-x": {450, 1291, 1707},
+		"numaliine":  {240, 2401, 3217},
+		"hal-s1":     {240, 1101, 1317},
+		"numa-q":     {240, 2501, 3317},
+	}
+	for _, preset := range scenario.LatencyPresets {
+		lat := core.Table1Latencies(preset)
+		local, clean, dirty, err := experiments.LatencyProbe(lat)
+		if err != nil {
+			t.Fatalf("%s: %v", preset, err)
+		}
+		var want [3]sim.Time
+		want[0] = closedFormRead(lat, 0, 0, -1)
+		n := 0
+		for home := 1; home < 32; home += 2 {
+			want[1] += closedFormRead(lat, 0, home, -1)
+			n++
+		}
+		want[1] /= sim.Time(n)
+		n = 0
+		for home := 1; home < 8; home++ {
+			want[2] += closedFormRead(lat, 0, home, (home+8)%16)
+			n++
+		}
+		want[2] /= sim.Time(n)
+		for i, got := range [3]sim.Time{local, clean, dirty} {
+			if got != want[i] {
+				t.Errorf("%s: probe %d = %v, closed form %v", preset, i, got, want[i])
+			}
+			if ns := math.Round(got.Nanoseconds()); ns != printed[preset][i] {
+				t.Errorf("%s: probe %d prints %.0f ns, Table 1 reads %.0f", preset, i, ns, printed[preset][i])
+			}
+		}
 	}
 }
 

@@ -37,15 +37,21 @@ type Machine struct {
 	fabric   topology.Network
 	pages    *mempolicy.Table
 	migrator *mempolicy.Migrator
-	dirs     []*directory.Directory // per-node home directories (shard-local)
-	check    *check.Checker         // nil unless Config.Check
-	tracer   *trace.Tracer          // nil unless Config.Trace.Enabled
-	sampler  *metrics.Sampler       // nil unless Config.Metrics.Enabled
-	hprof    *hostprof.Profiler     // nil unless Config.HostProf
-	critrec  *critpath.Recorder     // nil unless Config.CritPath
-	sharing  *sharing.Observer      // nil unless Config.Sharing.Enabled
-	procs    []*Proc
-	mapping  topology.Mapping
+	// dir is the machine's one coherence directory. It is held by value:
+	// no worker writes a Machine field during Run, so the directory's
+	// header, which every transition reads, shares its cache lines only
+	// with fields that stay read-only too. A separately allocated header
+	// can share a line with whatever the allocator places beside it, and
+	// the parallel engine measurably slowed when a worker wrote there.
+	dir     directory.Directory
+	check   *check.Checker     // nil unless Config.Check
+	tracer  *trace.Tracer      // nil unless Config.Trace.Enabled
+	sampler *metrics.Sampler   // nil unless Config.Metrics.Enabled
+	hprof   *hostprof.Profiler // nil unless Config.HostProf
+	critrec *critpath.Recorder // nil unless Config.CritPath
+	sharing *sharing.Observer  // nil unless Config.Sharing.Enabled
+	procs   []*Proc
+	mapping topology.Mapping
 
 	numNodes   int
 	numRouters int
@@ -81,7 +87,6 @@ func New(cfg Config) *Machine {
 		cfg:        cfg,
 		eng:        sim.NewEngine(cfg.Procs, cfg.Quantum),
 		fabric:     spec.Network(numRouters),
-		dirs:       make([]*directory.Directory, numNodes),
 		numNodes:   numNodes,
 		numRouters: numRouters,
 		hubs:       make([]sim.Resource, numNodes),
@@ -93,7 +98,6 @@ func New(cfg Config) *Machine {
 	for i := range m.hubs {
 		m.hubs[i].Name = fmt.Sprintf("hub%d", i)
 		m.mems[i].Name = fmt.Sprintf("mem%d", i)
-		m.dirs[i] = directory.NewWithFormat(dirFormat, cfg.Procs)
 	}
 	for i := range m.routers {
 		m.routers[i].Name = fmt.Sprintf("router%d", i)
@@ -109,6 +113,7 @@ func New(cfg Config) *Machine {
 	}
 	m.pages = mempolicy.NewTable(numNodes, cfg.Placement, m.migrator)
 	m.pages.OnRemap = m.pageRemapped
+	m.dir = *directory.NewWithFormat(dirFormat, cfg.Procs, m.pages)
 	m.mapping = cfg.Mapping
 	if m.mapping == nil {
 		m.mapping = topology.Linear(cfg.Procs)
@@ -117,7 +122,7 @@ func New(cfg Config) *Machine {
 		panic("core: mapping must be a permutation of the processor ids")
 	}
 	if cfg.Check {
-		m.check = check.New(cfg.Procs, &multiDir{m: m})
+		m.check = check.New(cfg.Procs, &m.dir)
 	}
 	if cfg.Trace.Enabled {
 		m.tracer = trace.New(cfg.Procs, cfg.Trace)
@@ -177,30 +182,14 @@ func (m *Machine) Scenario() scenario.Spec { return m.cfg.ScenarioSpec() }
 // Cycles converts processor cycles to virtual time at the machine's clock.
 func (m *Machine) Cycles(n int64) sim.Time { return sim.Time(n) * m.cycle }
 
-// Directories exposes the per-node coherence directories, indexed by home
-// node (test/diagnostic use).
-func (m *Machine) Directories() []*directory.Directory { return m.dirs }
+// DirectoryCheck audits the directory for internal-invariant violations
+// (test/diagnostic use).
+func (m *Machine) DirectoryCheck() error { return m.dir.Check() }
 
-// dirAt returns the directory of the given home node.
-func (m *Machine) dirAt(home int) *directory.Directory { return m.dirs[home] }
-
-// DirectoryCheck audits every node's directory for internal-invariant
-// violations (test/diagnostic use).
-func (m *Machine) DirectoryCheck() error {
-	for _, d := range m.dirs {
-		if err := d.Check(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FaultDropInvalidation installs the lost-invalidation fault hook on every
-// node's directory (verification-layer tests only).
+// FaultDropInvalidation installs the lost-invalidation fault hook on the
+// directory (verification-layer tests only).
 func (m *Machine) FaultDropInvalidation(fn func(block uint64, proc int) bool) {
-	for _, d := range m.dirs {
-		d.FaultDropInvalidation(fn)
-	}
+	m.dir.FaultDropInvalidation(fn)
 }
 
 // PageTable exposes page placement (test/diagnostic use).
@@ -362,11 +351,12 @@ func (m *Machine) routerOfNode(node int) int { return node / NodesPerRouter }
 
 // pageRemapped observes every move of an already-homed page — dynamic
 // migration and overriding SetHome alike — via the page table's OnRemap
-// hook. Each node's directory is authoritative for exactly the blocks it
-// homes, so the page's directory records must follow its home; the tracer's
-// per-page migration heat rides the same hook.
+// hook. The page's directory entries stay put, but each home node counts
+// the entries of the pages it homes, so the page's share of the counts
+// follows its home; the tracer's per-page migration heat rides the same
+// hook.
 func (m *Machine) pageRemapped(page uint64, from, to int) {
-	m.dirs[from].MovePage(page, m.dirs[to])
+	m.dir.Rehome(page, from, to)
 	if tr := m.tracer; tr != nil {
 		tr.PageRemapped(page, from, to)
 	}

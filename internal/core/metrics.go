@@ -82,11 +82,7 @@ func (m *Machine) machineSample(now sim.Time) metrics.MachineSample {
 		ms.Writebacks += c.Writebacks
 		ms.PageMigrations += c.PageMigrations
 	}
-	for _, d := range m.dirs {
-		s, x := d.StateCounts()
-		ms.DirShared += s
-		ms.DirExclusive += x
-	}
+	ms.DirShared, ms.DirExclusive = m.dir.StateCounts()
 	ms.HubQueued = make([]sim.Time, len(m.hubs))
 	ms.HubBusy = make([]sim.Time, len(m.hubs))
 	ms.HubBacklog = make([]sim.Time, len(m.hubs))

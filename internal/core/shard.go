@@ -74,7 +74,7 @@ func (p *Proc) shardLocal(block, page uint64, write, upgrade bool) bool {
 	if !upgrade && m.migrator != nil && home != p.node {
 		return false
 	}
-	if !p.entryInShard(m.dirs[home].Entry(block), write) {
+	if !p.entryInShard(m.dir.Entry(block), write) {
 		return false
 	}
 	if upgrade {
@@ -142,44 +142,3 @@ func (p *Proc) GlobalSection() { p.sp.AwaitGlobal() }
 
 // EndGlobal closes the section opened by the matching GlobalSection.
 func (p *Proc) EndGlobal() { p.sp.EndGlobal() }
-
-// multiDir aggregates the per-node directories into the single view the
-// checker audits: blocks route to the directory of their home node through
-// the page table, and iteration walks nodes in order (each directory's own
-// iteration is sorted, so the whole walk is deterministic).
-type multiDir struct {
-	m *Machine
-}
-
-// dirHome returns the home node whose directory holds block's entry. A
-// block whose page was never placed has no entry anywhere; -1 says so.
-func (v *multiDir) dirHome(block uint64) int {
-	home, ok := v.m.pages.Lookup(block >> (mempolicy.PageShift - blockShift))
-	if !ok {
-		return -1
-	}
-	return home
-}
-
-func (v *multiDir) Entry(block uint64) directory.Entry {
-	home := v.dirHome(block)
-	if home < 0 {
-		return directory.Entry{}
-	}
-	return v.m.dirs[home].Entry(block)
-}
-
-func (v *multiDir) ForEach(fn func(block uint64, e directory.Entry)) {
-	for _, d := range v.m.dirs {
-		d.ForEach(fn)
-	}
-}
-
-func (v *multiDir) Check() error {
-	for _, d := range v.m.dirs {
-		if err := d.Check(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,7 +1,9 @@
 // Package directory implements full-bit-vector directory cache coherence in
-// the style of the SGI Origin2000's Hub protocol. Each home node keeps one
-// Directory tracking, per 128-byte block, whether the block is unowned,
-// shared by a set of processors, or exclusively owned (dirty) by one.
+// the style of the SGI Origin2000's Hub protocol. One Directory tracks, per
+// 128-byte block of the machine's memory, whether the block is unowned,
+// shared by a set of processors, or exclusively owned (dirty) by one. Each
+// entry belongs to the home node of its page; the home counts the entries
+// in each state and owns the scratch lists its invalidating writes fill.
 //
 // The directory is precise: caches notify it of evictions (the Origin uses
 // replacement hints similarly), so invalidation fan-out matches the true
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"origin2000/internal/mempolicy"
 	"origin2000/internal/pagearray"
 )
 
@@ -95,29 +98,24 @@ type Entry struct {
 // and it mutates its entry in place.
 type dirPage = pagearray.Page[struct{}, Entry]
 
-// Directory tracks every block homed at one node. The zero value is an
-// empty directory with the precise full-bit-vector format, as New returns.
+// Directory tracks every block of the machine's memory.
 type Directory struct {
-	// pages grows on first touch. The machine touches a node's directory
-	// only from its home router's shard or in the serialized commit phase
-	// (DESIGN.md §11), so growing it needs no lock.
-	pages   pagearray.Array[struct{}, Entry]
-	scratch []int // reused invalidation list (see Write)
+	// pages holds every page's entries, wherever the page is homed. The
+	// machine sizes it before Run (GrowPages), so a transition writes only
+	// its own page's slot, and shards that touch disjoint pages need no
+	// lock (DESIGN.md §11). A standalone directory grows it on first touch.
+	pages pagearray.Array[struct{}, Entry]
+	// homes is the machine's page table: a page's home selects the node
+	// slot that counts its entries.
+	homes *mempolicy.Table
+	nodes []nodeState // indexed by home node
 
 	// format computes the extra (non-sharer) fan-out of an invalidating
 	// write under an imprecise sharer representation; nil means the
 	// precise full-bit-vector format and keeps Write's hot path exactly
-	// as it was before formats existed. procs bounds the broadcast set;
-	// scratchExtra is the reused WriteResult.Extra buffer.
-	format       Format
-	procs        int
-	scratchExtra []int
-
-	// nShared and nExclusive count entries in each active state,
-	// maintained incrementally on every transition so the metrics
-	// sampler's directory-state-mix snapshot is O(1) instead of a scan.
-	nShared    int
-	nExclusive int
+	// as it was before formats existed. procs bounds the broadcast set.
+	format Format
+	procs  int
 
 	// dropInval is a fault-injection hook for the verification layer's own
 	// tests (internal/check): when set, Write omits matching processors
@@ -127,26 +125,58 @@ type Directory struct {
 	dropInval func(block uint64, proc int) bool
 }
 
-// New creates an empty directory using the precise full-bit-vector
-// sharer representation.
-func New() *Directory { return &Directory{} }
+// nodeState is one home node's share of the directory. Only the shard of
+// the node's router, or the serialized commit phase, transitions the
+// node's pages, so each node keeps its own counts and scratch lists.
+type nodeState struct {
+	// nShared and nExclusive count the node's entries in each active
+	// state, maintained incrementally on every transition so the metrics
+	// sampler's directory-state-mix snapshot is O(1) instead of a scan.
+	nShared    int
+	nExclusive int
+	// scratch and scratchExtra are the reused WriteResult.Invalidate and
+	// WriteResult.Extra buffers (see Write).
+	scratch      []int
+	scratchExtra []int
+}
+
+// New creates an empty standalone directory using the precise
+// full-bit-vector sharer representation.
+func New() *Directory { return NewWithFormat(nil, 0, nil) }
 
 // NewWithFormat creates an empty directory whose invalidating writes fan
 // out under the given sharer-representation format, on a machine of
-// procs processors. A nil or FullVector format is the precise default
-// and behaves exactly like New.
-func NewWithFormat(f Format, procs int) *Directory {
-	d := New()
-	if f == nil {
-		return d
+// procs processors whose page table is homes. A nil or FullVector format
+// is the precise default and behaves exactly like New. A nil homes builds
+// a standalone directory, whose one node counts every page.
+func NewWithFormat(f Format, procs int, homes *mempolicy.Table) *Directory {
+	if homes == nil {
+		homes = mempolicy.NewTable(1, mempolicy.FirstTouch, nil)
 	}
-	if _, ok := f.(FullVector); ok {
-		return d // precise: keep the nil fast path
+	d := &Directory{homes: homes, nodes: make([]nodeState, homes.NumNodes())}
+	if _, precise := f.(FullVector); f != nil && !precise {
+		d.format = f
+		d.procs = procs
 	}
-	d.format = f
-	d.procs = procs
 	return d
 }
+
+// GrowPages extends the directory to cover pages [0, n). The machine calls
+// it as it allocates memory, so that no transition grows the array.
+func (d *Directory) GrowPages(n int) { d.pages.Grow(n) }
+
+// Pages reports how many pages the directory covers.
+func (d *Directory) Pages() int { return d.pages.Len() }
+
+// home returns the home node of block's page. A page the table has not
+// placed, which only a standalone directory transitions, counts on node 0.
+func (d *Directory) home(block uint64) int {
+	h, _ := d.homes.Lookup(block >> pagearray.PageBlockShift)
+	return h
+}
+
+// node returns the slot of the node that homes block.
+func (d *Directory) node(block uint64) *nodeState { return &d.nodes[d.home(block)] }
 
 // Format returns the directory's sharer-representation format
 // (FullVector for directories built by New).
@@ -217,7 +247,7 @@ func (d *Directory) Read(block uint64, requester int) ReadResult {
 	switch e.State {
 	case Unowned:
 		e.State = SharedState
-		d.nShared++
+		d.node(block).nShared++
 		e.Sharers.Add(requester)
 		return ReadResult{}
 	case SharedState:
@@ -226,8 +256,9 @@ func (d *Directory) Read(block uint64, requester int) ReadResult {
 	default: // Exclusive
 		owner := int(e.Owner)
 		e.State = SharedState
-		d.nExclusive--
-		d.nShared++
+		n := d.node(block)
+		n.nExclusive--
+		n.nShared++
 		e.Sharers.Add(owner)
 		e.Sharers.Add(requester)
 		return ReadResult{Dirty: true, Owner: owner}
@@ -258,15 +289,16 @@ type WriteResult struct {
 // returns the required invalidations/intervention. Afterwards requester is
 // the exclusive owner.
 //
-// The Invalidate slice is a scratch buffer owned by the directory, reused
-// by the next Write call: consume it before transitioning another block
-// (copy it if it must outlive that).
+// The Invalidate slice is a scratch buffer owned by the block's home node,
+// reused by the next Write to a block that node homes: consume it before
+// transitioning another block (copy it if it must outlive that).
 func (d *Directory) Write(block uint64, requester int) WriteResult {
 	e := d.entry(block)
 	var r WriteResult
 	switch e.State {
 	case SharedState:
-		inv := d.scratch[:0]
+		n := d.node(block)
+		inv := n.scratch[:0]
 		if d.dropInval == nil {
 			e.Sharers.ForEach(func(p int) {
 				if p != requester {
@@ -280,27 +312,27 @@ func (d *Directory) Write(block uint64, requester int) WriteResult {
 				}
 			})
 		}
-		d.scratch = inv
+		n.scratch = inv
 		if len(inv) > 0 {
 			r.Invalidate = inv
 		}
 		if d.format != nil {
-			ex := d.format.ExtraTargets(d.scratchExtra[:0], &e.Sharers, requester, d.procs)
-			d.scratchExtra = ex
+			ex := d.format.ExtraTargets(n.scratchExtra[:0], &e.Sharers, requester, d.procs)
+			n.scratchExtra = ex
 			if len(ex) > 0 {
 				r.Extra = ex
 			}
 		}
 		e.Sharers.Clear()
-		d.nShared--
-		d.nExclusive++
+		n.nShared--
+		n.nExclusive++
 	case Exclusive:
 		if int(e.Owner) != requester {
 			r.Dirty = true
 			r.Owner = int(e.Owner)
 		}
 	default: // Unowned
-		d.nExclusive++
+		d.node(block).nExclusive++
 	}
 	e.State = Exclusive
 	e.Owner = int16(requester)
@@ -316,7 +348,7 @@ func (d *Directory) Writeback(block uint64, owner int) {
 		return
 	}
 	e.State = Unowned
-	d.nExclusive--
+	d.node(block).nExclusive--
 }
 
 // Evict records that proc silently dropped a clean (Shared) copy.
@@ -328,30 +360,26 @@ func (d *Directory) Evict(block uint64, proc int) {
 	e.Sharers.Remove(proc)
 	if e.Sharers.Count() == 0 {
 		e.State = Unowned
-		d.nShared--
+		d.node(block).nShared--
 	}
 }
 
-// MovePage hands the record of the 16 KB page (page = block >> 7, which
-// equals the machine's memory page number) from d to dst, together with
-// its blocks' share of the incremental state counts. The machine calls it
-// when page migration rehomes a page, so that each node's directory stays
-// authoritative for exactly the blocks it homes. A page has one home at a
-// time, so dst holds no record of it.
-func (d *Directory) MovePage(page uint64, dst *Directory) {
-	if d == dst {
-		return
-	}
-	pg := d.pages.Take(page)
-	if pg == nil {
+// Rehome moves page's share of the state counts from node from to node to.
+// The machine calls it when the page table rehomes the page, from the
+// table's OnRemap hook. The page's entries stay where they are: the
+// directory covers the whole machine, and only which node counts them
+// changes.
+func (d *Directory) Rehome(page uint64, from, to int) {
+	pg := d.pages.Peek(page)
+	if pg == nil || from == to {
 		return
 	}
 	nS, nX := stateCounts(pg)
-	d.nShared -= nS
-	d.nExclusive -= nX
-	dst.pages.Put(page, pg)
-	dst.nShared += nS
-	dst.nExclusive += nX
+	f, t := &d.nodes[from], &d.nodes[to]
+	f.nShared -= nS
+	f.nExclusive -= nX
+	t.nShared += nS
+	t.nExclusive += nX
 }
 
 // stateCounts counts a page's entries in the Shared and Exclusive states.
@@ -368,9 +396,16 @@ func stateCounts(pg *dirPage) (shared, exclusive int) {
 }
 
 // StateCounts reports how many blocks are currently in the Shared and
-// Exclusive directory states. The counts are maintained incrementally on
-// every transition; the metrics sampler reads them at each machine sample.
-func (d *Directory) StateCounts() (shared, exclusive int) { return d.nShared, d.nExclusive }
+// Exclusive directory states, summed over the home nodes. The counts are
+// maintained incrementally on every transition; the metrics sampler reads
+// them at each machine sample.
+func (d *Directory) StateCounts() (shared, exclusive int) {
+	for i := range d.nodes {
+		shared += d.nodes[i].nShared
+		exclusive += d.nodes[i].nExclusive
+	}
+	return shared, exclusive
+}
 
 // ForEach calls fn for every block with active (non-Unowned) directory
 // state, in ascending block order. The verification layer (internal/check)
@@ -386,16 +421,18 @@ func (d *Directory) ForEach(fn func(block uint64, e Entry)) {
 }
 
 // Check verifies the directory's internal invariants — the per-entry
-// semantic constraints, and the incremental state counts against a
-// recount — returning a non-nil error on the first violation. The online
-// checker's Audit calls it; tests use it directly.
+// semantic constraints, and each home node's incremental state counts
+// against a recount of the pages it homes — returning a non-nil error on
+// the first violation. The online checker's Audit calls it; tests use it
+// directly.
 func (d *Directory) Check() error {
 	var firstErr error
-	nS, nX := 0, 0
+	recount := make([]nodeState, len(d.nodes))
 	d.pages.ForEach(func(page uint64, pg *dirPage) {
 		s, x := stateCounts(pg)
-		nS += s
-		nX += x
+		n := &recount[d.home(pagearray.BlockOf(page, 0))]
+		n.nShared += s
+		n.nExclusive += x
 		for i := range pg.Blocks {
 			if firstErr == nil {
 				firstErr = checkEntry(pagearray.BlockOf(page, i), &pg.Blocks[i])
@@ -405,9 +442,11 @@ func (d *Directory) Check() error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if nS != d.nShared || nX != d.nExclusive {
-		return fmt.Errorf("directory: state counts say %d Shared and %d Exclusive, a recount finds %d and %d",
-			d.nShared, d.nExclusive, nS, nX)
+	for i, n := range d.nodes {
+		if r := recount[i]; n.nShared != r.nShared || n.nExclusive != r.nExclusive {
+			return fmt.Errorf("directory: node %d's state counts say %d Shared and %d Exclusive, a recount finds %d and %d",
+				i, n.nShared, n.nExclusive, r.nShared, r.nExclusive)
+		}
 	}
 	return nil
 }

@@ -71,9 +71,9 @@ func TestWriteExtraFanout(t *testing.T) {
 		d         *Directory
 		wantExtra []int
 	}{
-		{"fullvec", NewWithFormat(FullVector{}, 8), nil},
-		{"limited", NewWithFormat(NewLimitedPointer(2), 8), []int{3, 5, 6, 7}},
-		{"coarse", NewWithFormat(NewCoarseVector(4), 8), []int{3}},
+		{"fullvec", NewWithFormat(FullVector{}, 8, nil), nil},
+		{"limited", NewWithFormat(NewLimitedPointer(2), 8, nil), []int{3, 5, 6, 7}},
+		{"coarse", NewWithFormat(NewCoarseVector(4), 8, nil), []int{3}},
 	} {
 		d := tc.d
 		const block = 42
@@ -100,7 +100,7 @@ func TestWriteExtraFanout(t *testing.T) {
 // directory must use the nil fast path so the default machine's Write
 // sequence is byte-for-byte the pre-format code.
 func TestNewWithFormatFullVectorKeepsFastPath(t *testing.T) {
-	d := NewWithFormat(FullVector{}, 128)
+	d := NewWithFormat(FullVector{}, 128, nil)
 	if d.format != nil {
 		t.Fatal("FullVector did not collapse to the nil fast path")
 	}

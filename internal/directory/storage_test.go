@@ -2,8 +2,10 @@ package directory
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"origin2000/internal/mempolicy"
 	"origin2000/internal/pagearray"
 )
 
@@ -48,37 +50,61 @@ func TestEntryMaterializesPagesLazily(t *testing.T) {
 	}
 }
 
-// TestMovePageHandsOffRecordAndCounts: migration moves a page's record and
-// its blocks' share of the state counts to the new home's directory, and
-// both directories still pass Check, which recounts them.
-func TestMovePageHandsOffRecordAndCounts(t *testing.T) {
-	src, dst := New(), New()
-	src.Read(2*blocksPerPage+1, 0)  // page 2: Shared
-	src.Write(2*blocksPerPage+5, 1) // page 2: Exclusive
-	src.Write(3*blocksPerPage, 1)   // page 3 stays
-	dst.Read(0, 4)                  // dst's own page 0
-	src.MovePage(2, dst)
-	src.MovePage(7, dst) // never touched: nothing to move
-	src.MovePage(3, src) // to itself: no-op
-	if got := touchedPages(src); !reflect.DeepEqual(got, []uint64{3}) {
-		t.Errorf("source pages = %v, want [3]", got)
+// TestRehomeKeepsEntriesAndMovesCounts: when the page table rehomes a
+// page, its entries stay where they are and its blocks' share of the state
+// counts moves to the new home, so the per-node snaps list the page under
+// its new home and Check, which recounts each node, still passes.
+func TestRehomeKeepsEntriesAndMovesCounts(t *testing.T) {
+	homes := mempolicy.NewTable(2, mempolicy.FirstTouch, nil)
+	d := NewWithFormat(nil, 8, homes)
+	homes.OnRemap = d.Rehome
+	d.GrowPages(4)
+	homes.SetHome(0, 1)
+	homes.SetHome(2, 0)
+	homes.SetHome(3, 0)
+	d.Read(0, 4)                  // node 1's page 0: Shared
+	d.Read(2*blocksPerPage+1, 0)  // page 2: Shared
+	d.Write(2*blocksPerPage+5, 1) // page 2: Exclusive
+	d.Write(3*blocksPerPage, 1)   // page 3 stays on node 0
+	before := d.pages.Peek(2)
+
+	homes.SetHome(2, 1)
+	if d.pages.Peek(2) != before {
+		t.Error("rehoming replaced page 2's record")
 	}
-	if got := touchedPages(dst); !reflect.DeepEqual(got, []uint64{0, 2}) {
-		t.Errorf("destination pages = %v, want [0 2]", got)
+	if e := d.Entry(2*blocksPerPage + 5); e.State != Exclusive || e.Owner != 1 {
+		t.Errorf("rehomed entry = %+v, want Exclusive at 1", e)
 	}
-	if e := dst.Entry(2*blocksPerPage + 5); e.State != Exclusive || e.Owner != 1 {
-		t.Errorf("moved entry = %+v, want Exclusive at 1", e)
-	}
-	if s, x := src.StateCounts(); s != 0 || x != 1 {
-		t.Errorf("source counts = %d Shared, %d Exclusive; want 0, 1", s, x)
-	}
-	if s, x := dst.StateCounts(); s != 2 || x != 1 {
-		t.Errorf("destination counts = %d Shared, %d Exclusive; want 2, 1", s, x)
-	}
-	for _, d := range []*Directory{src, dst} {
-		if err := d.Check(); err != nil {
-			t.Error(err)
+	snaps := d.Snaps()
+	blocks := func(s Snap) (b []uint64) {
+		for _, bs := range s.Blocks {
+			b = append(b, bs.Block)
 		}
+		return b
+	}
+	if got, want := blocks(snaps[0]), []uint64{3 * blocksPerPage}; !reflect.DeepEqual(got, want) {
+		t.Errorf("node 0 snaps blocks %v, want %v", got, want)
+	}
+	if got, want := blocks(snaps[1]), []uint64{0, 2*blocksPerPage + 1, 2*blocksPerPage + 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("node 1 snaps blocks %v, want %v", got, want)
+	}
+	if s := snaps[0]; s.Shared != 0 || s.Exclusive != 1 {
+		t.Errorf("node 0 counts = %d Shared, %d Exclusive; want 0, 1", s.Shared, s.Exclusive)
+	}
+	if s := snaps[1]; s.Shared != 2 || s.Exclusive != 1 {
+		t.Errorf("node 1 counts = %d Shared, %d Exclusive; want 2, 1", s.Shared, s.Exclusive)
+	}
+	if s, x := d.StateCounts(); s != 2 || x != 2 {
+		t.Errorf("machine counts = %d Shared, %d Exclusive; want 2, 2", s, x)
+	}
+	if err := d.Check(); err != nil {
+		t.Error(err)
+	}
+	// A rehome the directory does not count breaks the recount, naming
+	// the node whose counts are off.
+	d.Rehome(3, 0, 1)
+	if err := d.Check(); err == nil || !strings.Contains(err.Error(), "node 0") {
+		t.Errorf("Check after a stray Rehome = %v, want an error naming node 0", err)
 	}
 }
 
@@ -186,11 +212,11 @@ func TestCheckFlagsSemanticCorruption(t *testing.T) {
 			e.State = State(7)
 		}},
 		{"shared count out of step", func(d *Directory) {
-			d.nShared++
+			d.nodes[0].nShared++
 		}},
 		{"exclusive count out of step", func(d *Directory) {
 			d.Write(blocksPerPage, 2)
-			d.nExclusive--
+			d.nodes[0].nExclusive--
 		}},
 	}
 	for _, tc := range cases {

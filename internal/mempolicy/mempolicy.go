@@ -50,8 +50,9 @@ type Table struct {
 	// OnRemap, when set, observes every move of an already-homed page —
 	// dynamic migrations and overriding SetHome calls alike — with the
 	// page's previous and new home. The machine uses it to move the page's
-	// directory records and to feed the tracer's per-page migration heat;
-	// it must not mutate placement state.
+	// share of the directory's state counts to the new home and to feed
+	// the tracer's per-page migration heat; it must not mutate placement
+	// state.
 	OnRemap func(page uint64, from, to int)
 }
 

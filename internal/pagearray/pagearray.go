@@ -1,15 +1,15 @@
-// Package pagearray is the page-dense layout the machine's directories,
-// the online checker's block mirrors, the tracer's heat index and the
-// sharing classifier's tables share.
+// Package pagearray is the page-dense layout the machine's directory, the
+// online checker's block mirrors, the tracer's heat index and the sharing
+// classifier's tables share.
 // Simulated memory is bump-allocated from address zero
 // (core.Machine.Alloc), so a page number indexes a slice directly. Each
 // touched page owns one record holding a per-page head and a slot per
 // 128-byte block of its 16 KB page; untouched pages cost one nil pointer.
 //
-// Only Grow changes the slice header (Put calls it). Page and Take write
-// one element of the slice, so callers that touch disjoint pages from
-// different goroutines need no lock as long as no Grow runs concurrently
-// (the tracer's argument, DESIGN.md §9).
+// Only Grow changes the slice header. Page writes one element of the
+// slice, so callers that touch disjoint pages from different goroutines
+// need no lock as long as no Grow runs concurrently (the argument of the
+// directory and the tracer, DESIGN.md §9 and §11).
 package pagearray
 
 import "fmt"
@@ -82,22 +82,6 @@ func (a *Array[H, B]) Peek(page uint64) *Page[H, B] {
 		return nil
 	}
 	return a.pages[page]
-}
-
-// Take removes page's record from the array and returns it, or nil if the
-// page was never touched or lies beyond the array.
-func (a *Array[H, B]) Take(page uint64) *Page[H, B] {
-	pg := a.Peek(page)
-	if pg != nil {
-		a.pages[page] = nil
-	}
-	return pg
-}
-
-// Put installs pg as page's record, growing the array to cover page.
-func (a *Array[H, B]) Put(page uint64, pg *Page[H, B]) {
-	a.Grow(int(page) + 1)
-	a.pages[page] = pg
 }
 
 // Block returns block's slot, allocating its page on first touch.

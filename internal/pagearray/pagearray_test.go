@@ -38,20 +38,3 @@ func TestPageBeyondSizePanicsNamingIt(t *testing.T) {
 	}()
 	a.Block(BlockOf(2, 0))
 }
-
-func TestTakeAndPutHandOffARecord(t *testing.T) {
-	var src, dst Array[struct{}, int]
-	src.Grow(3)
-	*src.Block(BlockOf(2, 1)) = 9
-	if src.Take(7) != nil || src.Take(0) != nil {
-		t.Fatal("Take returned a record for an untouched page")
-	}
-	pg := src.Take(2)
-	if pg == nil || pg.Blocks[1] != 9 || src.Peek(2) != nil {
-		t.Fatalf("Take(2) = %v, page 2 after = %v; want the record, then none", pg, src.Peek(2))
-	}
-	dst.Put(5, pg)
-	if dst.Len() != 6 || dst.Peek(5) != pg {
-		t.Fatalf("Put(5): Len %d, page 5 %v; want 6 pages and the record", dst.Len(), dst.Peek(5))
-	}
-}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkAdvance measures the fast path of virtual-time accounting.
 func BenchmarkAdvance(b *testing.B) {
@@ -39,68 +36,4 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t = r.Acquire(t, 40)
 	}
-}
-
-// TestSchedulerRoundTripRegression pins the engine's context-switch cost:
-// the quantum-exceeding yield/resume cycle of BenchmarkSchedulerRoundTrip
-// must cost no more than a round trip of a bare two-goroutine ping-pong over
-// buffered channels, timed in the same test. The ratio, not an absolute
-// ceiling, is what holds across hosts; the coroutine handoff keeps it well
-// below 1 (0.3 to 0.4 on a 2-vCPU host). The run-ahead fast path and the
-// channel-free serial lane exist to keep this number low, so a regression
-// here means one of them stopped engaging.
-//
-// Skipped under -short and under -race (instrumentation dominates both
-// sides differently).
-func TestSchedulerRoundTripRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock ratio: skipped under -short")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock ratio: skipped under -race")
-	}
-	const maxRatio = 1.0
-	// Best of three: host noise (a co-scheduled test binary, a GC cycle)
-	// only ever adds time to either side, so the best attempt is the honest
-	// estimate of the engine's relative cost.
-	got := 0.0
-	for attempt := 0; attempt < 3; attempt++ {
-		res := testing.Benchmark(BenchmarkSchedulerRoundTrip)
-		ns := float64(res.T.Nanoseconds()) / float64(res.N)
-		ref := pingPongNS(200000)
-		ratio := ns / ref
-		t.Logf("attempt %d: engine round trip %.1f ns/op over %d iterations, channel ping-pong %.1f ns, ratio %.2f (bound %.2f)",
-			attempt+1, ns, res.N, ref, ratio, maxRatio)
-		if attempt == 0 || ratio < got {
-			got = ratio
-		}
-		if got <= maxRatio {
-			break
-		}
-	}
-	if got > maxRatio {
-		t.Errorf("scheduler round trip costs %.2fx a channel ping-pong round trip, bound %.2fx", got, maxRatio)
-	}
-}
-
-// pingPongNS times n round trips between two goroutines handing a token
-// back and forth over buffered channels, and returns ns per round trip.
-func pingPongNS(n int) float64 {
-	ping, pong := make(chan struct{}, 1), make(chan struct{}, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			<-ping
-			pong <- struct{}{}
-		}
-	}()
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		ping <- struct{}{}
-		<-pong
-	}
-	d := time.Since(start)
-	<-done
-	return float64(d.Nanoseconds()) / float64(n)
 }
