@@ -34,7 +34,7 @@ func main() {
 	var (
 		addr  = flag.String("addr", "localhost:8080", "listen address")
 		scale = flag.Int("scale", 64, "default problem/cache scale divisor for sweeps")
-		scenF = flag.String("scenario", "", "default machine scenario for sweeps (preset name or spec .json); /api/start?scenario= overrides per sweep")
+		scenF = flag.String("scenario", "", "default machine scenario for sweeps (preset name or spec .json); /api/start?scenario=<preset> overrides per sweep")
 	)
 	flag.Parse()
 

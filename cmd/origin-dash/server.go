@@ -162,9 +162,11 @@ func (s *server) parseStart(q url.Values) (startQuery, error) {
 		}
 	}
 	if v := q.Get("scenario"); v != "" {
-		sc, err := scenario.Load(v)
-		if err != nil {
-			return sq, err
+		// A query names a preset only: a spec file is the operator's
+		// -scenario flag, never a path a client chooses.
+		sc, ok := scenario.Named(v)
+		if !ok {
+			return sq, fmt.Errorf("unknown scenario %q (presets: %s)", v, strings.Join(scenario.Names(), ", "))
 		}
 		sq.spec = sc
 	}

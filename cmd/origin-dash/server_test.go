@@ -345,10 +345,47 @@ func get(t *testing.T, url string) string {
 	return string(body)
 }
 
+// TestStartScenarioPresetOnly: /api/start's scenario= names a preset,
+// never a file. A JSON file the server could read, reached by an absolute
+// path or by a ../ path, gets a 400 that lists the presets and echoes
+// nothing of the file.
+func TestStartScenarioPresetOnly(t *testing.T) {
+	secret := filepath.Join(t.TempDir(), "secret.json")
+	if err := os.WriteFile(secret, []byte(`{"password": "hunter2"}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(wd, secret)
+	if err != nil || !strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		t.Fatalf("no ../ path from %s to %s: %q, %v", wd, secret, rel, err)
+	}
+	ts := httptest.NewServer(newServer(64).mux())
+	defer ts.Close()
+	for _, path := range []string{secret, rel} {
+		resp, err := http.Get(ts.URL + "/api/start?procs=4&scenario=" + url.QueryEscape(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(body), "password") ||
+			!strings.Contains(string(body), strings.Join(scenario.Names(), ", ")) {
+			t.Errorf("scenario=%s: %s %q; want a 400 listing the presets and nothing of the file", path, resp.Status, body)
+		}
+	}
+}
+
 // FuzzStartQuery drives /api/start's parser with arbitrary queries. No
 // query may panic, and an accepted one must describe a sweep the machine
-// can run: every processor count at least 1 and within the scenario's
-// directory capacity, a scale of at least 1, and, when interval_us is
+// can run: a preset scenario, or the server's default when the query names
+// none; every processor count at least 1 and within the scenario's
+// directory capacity; a scale of at least 1; and, when interval_us is
 // given, an interval of exactly that many microseconds.
 func FuzzStartQuery(f *testing.F) {
 	for _, q := range []string{
@@ -363,6 +400,7 @@ func FuzzStartQuery(f *testing.F) {
 		"interval_us=9223372036854",
 		"interval_us=-5",
 		"app=Nope",
+		"scenario=../testdata/x.json",
 	} {
 		f.Add(q)
 	}
@@ -372,6 +410,17 @@ func FuzzStartQuery(f *testing.F) {
 		sq, err := srv.parseStart(q)
 		if err != nil {
 			return
+		}
+		want := srv.scenario
+		if v := q.Get("scenario"); v != "" {
+			preset, ok := scenario.Named(v)
+			if !ok {
+				t.Fatalf("accepted scenario %q, which is not a preset", v)
+			}
+			want = preset
+		}
+		if sq.spec.Hash() != want.Hash() {
+			t.Errorf("scenario=%q ran machine %s, want %s", q.Get("scenario"), sq.spec.Name, want.Name)
 		}
 		format, err := sq.spec.Format()
 		if err != nil {

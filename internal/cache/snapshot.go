@@ -2,8 +2,8 @@ package cache
 
 // Snap is the serializable state of one cache: geometry plus the raw line
 // arrays. Tags and LRU stamps are captured verbatim (including lines that
-// are currently Invalid) so a snapshot compares byte-for-byte with a live
-// re-capture at the same virtual-time point.
+// are currently Invalid) so a checkpoint's digest of them matches a live
+// re-capture's at the same virtual-time point.
 type Snap struct {
 	Sets  int      `json:"sets"`
 	Assoc int      `json:"assoc"`

@@ -2,12 +2,12 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
 	"sort"
 
+	"origin2000/internal/cache"
 	"origin2000/internal/sim"
 	"origin2000/internal/snapshot"
 )
@@ -17,17 +17,12 @@ import (
 // The engine reports every round boundary through its quiescent hook; at
 // boundaries where no processor has a global section open the machine's
 // entire observable state is a pure function of the deterministic schedule
-// prefix, so it can be serialized (capture) or compared against a prior
-// serialization (resume proof). Goroutine stacks are not serializable, so
-// resume re-executes the prefix with the run's observers built and
+// prefix, so it can be digested (capture) or compared against a prior
+// capture's digests (resume proof). Goroutine stacks are not serializable,
+// so resume re-executes the prefix with the run's observers built and
 // recording, as on any run, and at the recorded quiescent point proves
-// byte equality of every section but the header: the simulation state and
-// each observer's state alike. Nothing is written back from the snapshot.
-
-// ErrStopped is the panic value the quiescent hook raises when a run
-// reaches Checkpoint.StopAtSeq. Drivers that set StopAtSeq recover it; it
-// never escapes a run that did not ask to stop.
-var ErrStopped = errors.New("core: run stopped at requested quiescent point")
+// that every section but the header digests alike: the simulation state
+// and each observer's state. Nothing is written back from the snapshot.
 
 // EffectiveWorkers reports the host-worker count a normalized configuration
 // runs with, and whether an observer forced it down to one (the checker,
@@ -60,7 +55,7 @@ type syncSnapReg struct {
 // RegisterStateSnap registers a host-state provider for a synchronization
 // primitive, keyed by the primitive's identifying simulated address. The
 // returned state must be JSON-serializable and deterministic; it is
-// captured into every snapshot's syncs section as a proof obligation of
+// digested into every snapshot's syncs section as a proof obligation of
 // resume (replay rebuilds the primitives themselves).
 func (m *Machine) RegisterStateSnap(base uint64, kind string, fn func() any) {
 	m.syncSnaps = append(m.syncSnaps, syncSnapReg{base: base, kind: kind, fn: fn})
@@ -73,17 +68,16 @@ type ckptState struct {
 	next    sim.Time
 	dir     string
 	sink    func(*snapshot.Snapshot) error
-	stopAt  int64
 	resume  *snapshot.Snapshot
 	written []string
 	count   int
 }
 
 // initCheckpoint arms the quiescent hook when the configuration asks for
-// capture, resume, or a stop point.
+// capture or resume.
 func (m *Machine) initCheckpoint() {
 	ck := &m.cfg.Checkpoint
-	if ck.Every <= 0 && ck.Resume == nil && ck.StopAtSeq <= 0 {
+	if ck.Every <= 0 && ck.Resume == nil {
 		return
 	}
 	// Stamp the machine's scenario into the recorded spec so resume can
@@ -103,7 +97,6 @@ func (m *Machine) initCheckpoint() {
 		next:   ck.Every,
 		dir:    ck.Dir,
 		sink:   ck.Sink,
-		stopAt: ck.StopAtSeq,
 		resume: ck.Resume,
 	}
 	m.eng.SetQuiescentHook(m.onQuiescent)
@@ -122,11 +115,10 @@ func (m *Machine) Checkpoints() []string {
 // resume point; a run that ends while it is never reached that point.
 func (m *Machine) Resuming() bool { return m.ckpt != nil && m.ckpt.resume != nil }
 
-// onQuiescent is the engine's quiescent hook: it drives resume proof,
-// requested stops, and periodic capture. It runs on the scheduling
-// boundary, so any failure must leave via panic; the engine propagates the
-// value out of Run and resume/bisect drivers recover the typed values
-// (snapshot.DivergenceError, ErrStopped).
+// onQuiescent is the engine's quiescent hook: it drives the resume proof
+// and periodic capture. It runs on the scheduling boundary, so any failure
+// must leave via panic; the engine propagates the value out of Run and the
+// resume driver recovers a snapshot.DivergenceError.
 func (m *Machine) onQuiescent(seq int64, minNow sim.Time, quiet bool) {
 	ck := m.ckpt
 	if rs := ck.resume; rs != nil {
@@ -158,9 +150,6 @@ func (m *Machine) onQuiescent(seq int64, minNow sim.Time, quiet bool) {
 		}
 		return
 	}
-	if ck.stopAt > 0 && seq >= ck.stopAt {
-		panic(ErrStopped)
-	}
 	if ck.every <= 0 || !quiet || minNow < ck.next {
 		return
 	}
@@ -173,10 +162,9 @@ func (m *Machine) onQuiescent(seq int64, minNow sim.Time, quiet bool) {
 	}
 }
 
-// capture serializes the machine at a quiescent point. Everything that can
-// influence the rest of the run — or that an observer has accumulated — is
-// included; host-side state with no observable effect (the allocation
-// list ArrayStats folds over, which replay rebuilds) is deliberately not.
+// capture digests the machine at a quiescent point: the header, then each
+// section as sections takes it, so no capture holds more than one
+// section's encoding.
 func (m *Machine) capture(seq int64, minNow sim.Time) *snapshot.Snapshot {
 	workers, forced := EffectiveWorkers(&m.cfg)
 	s := &snapshot.Snapshot{
@@ -190,52 +178,62 @@ func (m *Machine) capture(seq int64, minNow sim.Time) *snapshot.Snapshot {
 			VirtualTime:   minNow,
 			Spec:          m.cfg.Checkpoint.Spec,
 		},
-		Engine: m.eng.Snap(),
 	}
 	if cfgJSON, err := json.Marshal(&m.cfg); err == nil {
 		s.Header.Config = cfgJSON
 	}
-	s.Procs = make([]snapshot.ProcSnap, len(m.procs))
+	m.sections(func(name string, v any) {
+		if err := s.Add(name, v); err != nil {
+			panic(fmt.Errorf("core: checkpoint: %w", err))
+		}
+	})
+	return s
+}
+
+// sections passes every section of the machine's state to add, in
+// canonical order, observers last. Everything that can influence the rest
+// of the run — or that an observer has accumulated — is included;
+// host-side state with no observable effect (the allocation list
+// ArrayStats folds over, which replay rebuilds) is deliberately not.
+func (m *Machine) sections(add func(name string, v any)) {
+	add("engine", m.eng.Snap())
+	procs := make([]snapshot.ProcSnap, len(m.procs))
+	caches := make([]cache.Snap, len(m.procs))
 	for i, p := range m.procs {
-		s.Procs[i] = p.snapState()
+		procs[i], caches[i] = p.snapState(), p.cache.Snap()
 	}
-	for _, p := range m.procs {
-		s.Caches = append(s.Caches, p.cache.Snap())
-	}
-	s.Directories = m.dir.Snaps()
-	s.MemPolicy = m.pages.Snap()
-	s.Resources.Hubs = resourceSnaps(m.hubs)
-	s.Resources.Mems = resourceSnaps(m.mems)
-	s.Resources.Routers = resourceSnaps(m.routers)
-	s.Resources.Metas = resourceSnaps(m.metas)
-	s.Memory = snapshot.MemorySnap{
-		NextAddr:  m.nextAddr,
-		NodePages: append([]int(nil), m.nodePages...),
-	}
+	add("procs", procs)
+	add("caches", caches)
+	add("directories", m.dir.Snaps())
+	add("mempolicy", m.pages.Snap())
+	add("resources", snapshot.ResourcesSnap{
+		Hubs:    resourceSnaps(m.hubs),
+		Mems:    resourceSnaps(m.mems),
+		Routers: resourceSnaps(m.routers),
+		Metas:   resourceSnaps(m.metas),
+	})
+	add("memory", snapshot.MemorySnap{NextAddr: m.nextAddr, NodePages: m.nodePages})
+	var syncs []snapshot.SyncRecord
 	for _, reg := range m.syncSnaps {
 		state, err := json.Marshal(reg.fn())
 		if err != nil {
 			panic(fmt.Errorf("core: checkpoint: sync %q at %#x: %w", reg.kind, reg.base, err))
 		}
-		s.Syncs = append(s.Syncs, snapshot.SyncRecord{Base: reg.base, Kind: reg.kind, State: state})
+		syncs = append(syncs, snapshot.SyncRecord{Base: reg.base, Kind: reg.kind, State: state})
 	}
+	add("syncs", syncs)
 	if m.check != nil {
-		cs := m.check.Snap()
-		s.Checker = &cs
+		add("checker", m.check.Snap())
 	}
 	if m.tracer != nil {
-		ts := m.tracer.Snap()
-		s.Tracer = &ts
+		add("tracer", m.tracer.Snap())
 	}
 	if m.sampler != nil {
-		ms := m.sampler.Snap()
-		s.Metrics = &ms
+		add("metrics", m.sampler.Snap())
 	}
 	if m.sharing != nil {
-		ss := m.sharing.Snap()
-		s.Sharing = &ss
+		add("sharing", m.sharing.Snap())
 	}
-	return s
 }
 
 // snapState captures one processor's machine-level state (the scheduling

@@ -188,9 +188,9 @@ type Config struct {
 	// perturbation on, forces one host worker, bit-identical output
 	// across runs, engines and requested worker counts.
 	Sharing sharing.Options
-	// Checkpoint configures originckpt/v1 snapshots at quiescent window
-	// boundaries, replay-based resume, and time-travel bisection; see
-	// internal/snapshot and DESIGN.md §13. Zero value disables everything.
+	// Checkpoint configures originckpt snapshots at quiescent window
+	// boundaries and replay-based resume; see internal/snapshot and
+	// DESIGN.md §13. Zero value disables both.
 	Checkpoint CheckpointConfig
 	// Scenario declares the machine: interconnect topology, directory
 	// sharer-representation format and latency preset (DESIGN.md §16).
@@ -212,16 +212,12 @@ type CheckpointConfig struct {
 	// Spec is recorded verbatim in every snapshot header so drivers can
 	// rebuild the run.
 	Spec snapshot.RunSpec
-	// StopAtSeq halts the run (via ErrStopped) at the first quiescent point
-	// whose sequence number reaches this value. Zero means run to
-	// completion. Used by bisection replays.
-	StopAtSeq int64
 	// Sink, when set, receives every captured snapshot (after Dir, if both
 	// are set). A Sink error aborts the run. Not serializable.
 	Sink func(*snapshot.Snapshot) error `json:"-"`
 	// Resume, when set, makes the machine re-execute deterministically, its
 	// observers recording as on any run, until the snapshot's quiescent
-	// point, prove every section but the header equal byte for byte, and
+	// point, prove every section but the header digests alike, and
 	// continue. The configured observers must be the snapshot's
 	// (experiments.ValidateResume refuses a mismatch). Not serializable.
 	Resume *snapshot.Snapshot `json:"-"`

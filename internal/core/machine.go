@@ -192,6 +192,9 @@ func (m *Machine) FaultDropInvalidation(fn func(block uint64, proc int) bool) {
 	m.dir.FaultDropInvalidation(fn)
 }
 
+// Directory exposes the machine's directory (test/diagnostic use).
+func (m *Machine) Directory() *directory.Directory { return &m.dir }
+
 // PageTable exposes page placement (test/diagnostic use).
 func (m *Machine) PageTable() *mempolicy.Table { return m.pages }
 

@@ -4,7 +4,7 @@ import "origin2000/internal/sim"
 
 // Snap is the sampler's full serializable state: the recorded series, the
 // epoch marks, and the grid cursors. A resumed run rebuilds it by replaying
-// the prefix, and the resume proof compares it byte for byte.
+// the prefix, and the resume proof compares its digest.
 type Snap struct {
 	ProcNext []sim.Time      `json:"proc_next"`
 	MachNext sim.Time        `json:"mach_next"`

@@ -96,8 +96,8 @@ func (p *Proc) Snap() ProcSnap {
 // the rest of the run.
 type EngineSnap struct {
 	Window Time `json:"window"`
-	// WindowBase equals Window. originckpt/v1 records both, so the field
-	// stays for existing checkpoints to decode strictly.
+	// WindowBase equals Window. Checkpoints have always recorded both, so
+	// the field stays for the engine section to digest as theirs do.
 	WindowBase Time  `json:"window_base"`
 	NumShards  int   `json:"num_shards"`
 	QuiesSeq   int64 `json:"quies_seq"`

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,16 +10,14 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
-// The originckpt/v1 container is deliberately dumb: a fixed magic, a format
-// version, then a flat list of named sections, each a CRC-guarded JSON
-// payload, closed by an end marker. Corruption anywhere yields a
-// FormatError naming the section, never a panic, and unknown sections are
-// rejected rather than skipped so a v2 writer cannot be half-read by a v1
-// reader. Unknown fields inside a section are rejected the same way: state
-// this build cannot represent must fail the decode, not be dropped and
-// replayed without.
+// The originckpt container is deliberately dumb: a fixed magic, a format
+// version, then a flat list of named sections, each a CRC-guarded payload,
+// closed by an end marker. Corruption anywhere yields a FormatError naming
+// the section, never a panic, and unknown sections are rejected rather
+// than skipped so a later writer cannot be half-read by this reader.
 //
 //	offset  size  field
 //	0       8     magic "ORGNCKP1"
@@ -28,80 +27,56 @@ import (
 //	                name bytes
 //	                u32 payload length
 //	                u32 CRC-32 (IEEE) of the payload
-//	                payload (deterministic JSON)
+//	                payload
 //
-// Section order on encode is fixed (header first, observers last, nil
+// In version 2 the header's payload is its JSON and every other payload is
+// the section's 32-byte Digest. Version 1 stored every section's canonical
+// JSON; Decode digests each non-header v1 payload as it reads it, so a v1
+// checkpoint proves against a live replay as a v2 one does.
+//
+// Section order on encode is fixed (header first, observers last, absent
 // observers skipped); decode accepts any order but requires the header and
-// rejects duplicates.
+// every simulation section, and rejects duplicates.
 const magic = "ORGNCKP1"
 
-// Section names, in canonical encode order.
-const (
-	secHeader      = "header"
-	secEngine      = "engine"
-	secProcs       = "procs"
-	secCaches      = "caches"
-	secDirectories = "directories"
-	secMemPolicy   = "mempolicy"
-	secResources   = "resources"
-	secMemory      = "memory"
-	secSyncs       = "syncs"
-	secChecker     = "checker"
-	secTracer      = "tracer"
-	secMetrics     = "metrics"
-	secSharing     = "sharing"
+// secHeader names the header section, the one a checkpoint keeps whole.
+const secHeader = "header"
+
+// simSections are the simulation sections, which every checkpoint holds;
+// observerSections are present only when the capturing run had that
+// observer enabled.
+var (
+	simSections = []string{
+		"engine", "procs", "caches", "directories", "mempolicy",
+		"resources", "memory", "syncs",
+	}
+	observerSections = []string{"checker", "tracer", "metrics", "sharing"}
 )
+
+// sectionNames lists every section in canonical order, the header first.
+// It is the one list the codec, Validate, ProveEqual and Diff walk.
+var sectionNames = slices.Concat([]string{secHeader}, simSections, observerSections)
 
 const (
 	maxNameLen    = 64
 	maxPayloadLen = 1 << 30
 )
 
-// section is one named section of a snapshot: a pointer to the field it
-// decodes into and encodes from. An observer section is present only when
-// the capturing run had that observer enabled.
-type section struct {
-	name    string
-	ptr     any
-	present bool
-}
-
-// sections lists every section in canonical order. It is the one list the
-// codec, ProveEqual and Diff walk; the header comes first.
-func (s *Snapshot) sections() []section {
-	return []section{
-		{secHeader, &s.Header, true},
-		{secEngine, &s.Engine, true},
-		{secProcs, &s.Procs, true},
-		{secCaches, &s.Caches, true},
-		{secDirectories, &s.Directories, true},
-		{secMemPolicy, &s.MemPolicy, true},
-		{secResources, &s.Resources, true},
-		{secMemory, &s.Memory, true},
-		{secSyncs, &s.Syncs, true},
-		{secChecker, &s.Checker, s.Checker != nil},
-		{secTracer, &s.Tracer, s.Tracer != nil},
-		{secMetrics, &s.Metrics, s.Metrics != nil},
-		{secSharing, &s.Sharing, s.Sharing != nil},
-	}
-}
-
-// Encode serializes the snapshot into the originckpt/v1 byte format.
-// Payloads are Go's canonical JSON (struct order fixed, map keys sorted),
-// so the same state always encodes to the same bytes.
+// Encode serializes the snapshot into the originckpt/v2 byte format: the
+// header's canonical JSON, then each present section's digest.
 func (s *Snapshot) Encode() ([]byte, error) {
+	hdr, err := json.Marshal(&s.Header)
+	if err != nil {
+		return nil, &FormatError{secHeader, "encode: " + err.Error()}
+	}
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	writeU32(&buf, Version)
-	for _, sec := range s.sections() {
-		if !sec.present {
-			continue
+	writeSection(&buf, secHeader, hdr)
+	for _, name := range sectionNames[1:] {
+		if d, ok := s.Digests[name]; ok {
+			writeSection(&buf, name, d[:])
 		}
-		payload, err := json.Marshal(sec.ptr)
-		if err != nil {
-			return nil, &FormatError{sec.name, "encode: " + err.Error()}
-		}
-		writeSection(&buf, sec.name, payload)
 	}
 	writeU32(&buf, 0) // end marker
 	return buf.Bytes(), nil
@@ -116,10 +91,11 @@ func (s *Snapshot) WriteFile(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Decode parses an originckpt/v1 byte stream. Every malformation —
-// truncation, bad magic, CRC mismatch, duplicate or unknown section,
-// payload that fails to parse or carries a field its section does not
-// declare — returns a FormatError naming the section it was found in.
+// Decode parses an originckpt byte stream of version 1 or 2. Every
+// malformation — truncation, bad magic, CRC mismatch, duplicate, unknown
+// or missing section, a header that fails to parse or carries a field
+// Header does not declare, a v2 digest that is not 32 bytes — returns a
+// FormatError naming the section it was found in.
 func Decode(data []byte) (*Snapshot, error) {
 	r := &reader{data: data}
 	var hdr [len(magic)]byte
@@ -133,14 +109,10 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != Version {
-		return nil, &FormatError{"", fmt.Sprintf("format version %d, this build reads %d", ver, Version)}
+	if ver != 1 && ver != Version {
+		return nil, &FormatError{"", fmt.Sprintf("format version %d, this build reads 1 and %d", ver, Version)}
 	}
-	s := &Snapshot{}
-	targets := map[string]any{}
-	for _, sec := range s.sections() {
-		targets[sec.name] = sec.ptr
-	}
+	s := &Snapshot{Digests: map[string]Digest{}}
 	seen := map[string]bool{}
 	for {
 		nameLen, err := r.u32("", "section name length")
@@ -158,8 +130,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, err
 		}
 		name := string(nameBuf)
-		target, known := targets[name]
-		if !known {
+		if !slices.Contains(sectionNames, name) {
 			return nil, &FormatError{name, "unknown section"}
 		}
 		if seen[name] {
@@ -184,8 +155,17 @@ func Decode(data []byte) (*Snapshot, error) {
 		if got := crc32.ChecksumIEEE(payload); got != want {
 			return nil, &FormatError{name, fmt.Sprintf("checksum mismatch: stored %08x, computed %08x", want, got)}
 		}
-		if err := decodeStrict(payload, target); err != nil {
-			return nil, &FormatError{name, "payload does not parse: " + err.Error()}
+		switch {
+		case name == secHeader:
+			if err := decodeHeader(payload, &s.Header); err != nil {
+				return nil, &FormatError{name, "payload does not parse: " + err.Error()}
+			}
+		case ver == 1:
+			s.Digests[name] = sha256.Sum256(payload)
+		case len(payload) != sha256.Size:
+			return nil, &FormatError{name, fmt.Sprintf("digest of %d bytes, want %d", len(payload), sha256.Size)}
+		default:
+			s.Digests[name] = Digest(payload)
 		}
 	}
 	if r.off != len(r.data) {
@@ -194,15 +174,18 @@ func Decode(data []byte) (*Snapshot, error) {
 	if !seen[secHeader] {
 		return nil, &FormatError{secHeader, "missing"}
 	}
+	if err := s.missing(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
-// decodeStrict parses one JSON payload into target, rejecting unknown
-// fields and anything after the value.
-func decodeStrict(payload []byte, target any) error {
+// decodeHeader parses the header payload into h, rejecting unknown fields
+// and anything after the value.
+func decodeHeader(payload []byte, h *Header) error {
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(target); err != nil {
+	if err := dec.Decode(h); err != nil {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
@@ -211,7 +194,7 @@ func decodeStrict(payload []byte, target any) error {
 	return nil
 }
 
-// ReadFile reads and decodes an originckpt/v1 file.
+// ReadFile reads and decodes an originckpt file.
 func ReadFile(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,71 +1,62 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"testing"
-
-	"origin2000/internal/memclass"
-	"origin2000/internal/sharing"
 )
 
-// FuzzSnapshotDecode feeds the section decoders fuzzed JSON inside a
-// well-formed container: the golden fixture's sections in canonical order,
-// one of them replaced by the fuzzed payload under a valid length and CRC,
-// so inputs get past the framing to the JSON decoders. A sharing section,
-// which the fixture predates, is added when the fuzzed index names it.
-// Decode and Validate must never panic, nor AuditState on a snapshot that
-// validates, and a snapshot that validates must re-encode and decode again
-// to one Diff finds equal.
+// FuzzSnapshotDecode feeds Decode fuzzed section payloads inside a
+// well-formed container of either version: the golden snapshot's sections
+// in canonical order — digests for version 2, the sections' canonical
+// JSON for version 1 — with one of them replaced by the fuzzed payload
+// under a valid length and CRC, so inputs get past the framing. A sharing
+// section, which the golden sections lack, is added when the fuzzed index
+// names it. Decode must never panic and must fail only with a FormatError,
+// and a snapshot that validates must re-encode as version 2 and decode
+// again to one Diff finds equal.
 func FuzzSnapshotDecode(f *testing.F) {
-	fixture, err := ReadFile(goldenPath)
-	if err != nil {
-		f.Fatalf("read golden fixture: %v", err)
-	}
-	secs := fixture.sections()
-	payloads := make([][]byte, len(secs))
-	for i, sec := range secs {
-		if !sec.present {
-			continue
-		}
-		if payloads[i], err = json.Marshal(sec.ptr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(uint8(i), payloads[i])
-	}
-	// A classifier on the fixture's two processors and one node, with a
-	// sharing miss, an invalidation and a pending verdict.
-	o := sharing.New(fixture.Header.Procs, 1)
-	o.OnMiss(0, 7, 0, true, memclass.Local, 0, 0, 0)
-	o.OnInvalidate(0, 7)
-	o.OnMiss(1, 7, 8, true, memclass.RemoteDirty, 0, 0, 0)
-	o.OnInvalidate(1, 7)
-	o.OnMiss(0, 7, 0, false, memclass.RemoteDirty, 0, 0, 0)
-	sh, err := json.Marshal(o.Snap())
+	golden := goldenSnapshot()
+	hdr, err := json.Marshal(&golden.Header)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, sec := range secs {
-		if sec.name == secSharing {
-			f.Add(uint8(i), sh)
+	v1 := map[string][]byte{secHeader: hdr}
+	for _, sec := range goldenSections() {
+		if v1[sec.name], err = json.Marshal(sec.v); err != nil {
+			f.Fatal(err)
 		}
 	}
-	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
-		var b bytes.Buffer
-		b.WriteString(magic)
-		writeU32(&b, Version)
-		k := int(which) % len(secs)
-		for i, sec := range secs {
-			switch {
-			case i == k:
-				writeSection(&b, sec.name, payload)
-			case sec.present:
-				writeSection(&b, sec.name, payloads[i])
+	payload := func(v1Framing bool, name string) ([]byte, bool) {
+		if name == secHeader || v1Framing {
+			p, ok := v1[name]
+			return p, ok
+		}
+		d, ok := golden.Digests[name]
+		return d[:], ok
+	}
+	for i, name := range sectionNames {
+		for _, v1Framing := range []bool{false, true} {
+			if p, ok := payload(v1Framing, name); ok {
+				f.Add(uint8(i), v1Framing, p)
 			}
 		}
-		writeU32(&b, 0)
-		sn, err := Decode(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, which uint8, v1Framing bool, fuzzed []byte) {
+		var recs []record
+		k := int(which) % len(sectionNames)
+		for i, name := range sectionNames {
+			if i == k {
+				recs = append(recs, record{name, fuzzed})
+			} else if p, ok := payload(v1Framing, name); ok {
+				recs = append(recs, record{name, p})
+			}
+		}
+		version := uint32(Version)
+		if v1Framing {
+			version = 1
+		}
+		sn, err := Decode(frame(version, recs...))
 		if err != nil {
 			var fe *FormatError
 			if !errors.As(err, &fe) {
@@ -76,7 +67,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if sn.Validate() != nil {
 			return
 		}
-		AuditState(sn)
 		enc, err := sn.Encode()
 		if err != nil {
 			t.Fatalf("a validated snapshot does not encode: %v", err)

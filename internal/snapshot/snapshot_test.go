@@ -2,12 +2,14 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,30 +23,30 @@ import (
 	"origin2000/internal/trace"
 )
 
-// goldenSnapshot builds a hand-written snapshot exercising every section of
-// the format — including the optional observer sections — with stable
-// synthetic values. The golden fixture on disk is this snapshot's encoding;
-// TestCompatGoldenFixture fails if a format change stops decoding it.
-func goldenSnapshot() *Snapshot {
+// goldenSection is one section value of the synthetic snapshot.
+type goldenSection struct {
+	name string
+	v    any
+}
+
+// goldenSections builds hand-written section values exercising every
+// section the golden fixture holds — every simulation section and the
+// checker, tracer and sampler sections — with stable synthetic values.
+// The fixture on disk is their originckpt/v1 encoding, written before
+// version 2; TestCompatGoldenFixture checks that it still digests to them.
+func goldenSections() []goldenSection {
 	sharers01 := directory.Sharers{}
 	sharers01.Add(0)
 	sharers01.Add(1)
-	s := &Snapshot{
-		Header: Header{
-			Version:       Version,
-			Procs:         2,
-			Engine:        "parallel",
-			Workers:       1,
-			WorkersForced: true,
-			QuiesSeq:      17,
-			VirtualTime:   420 * sim.Microsecond,
-			Spec: RunSpec{
-				App: "FFT", Size: 4096, Variant: "opt", Prefetch: true,
-				Div: 64, CacheDiv: 64, Steps: 2, Seed: 42,
-			},
-			Config: json.RawMessage(`{"Procs":2,"Engine":"parallel"}`),
-		},
-		Engine: sim.EngineSnap{
+	var sharers0 directory.Sharers
+	sharers0.Add(0)
+	tracerBucket := trace.BucketSnap{
+		Pages:  []trace.HeatEntry{{Key: 0, Stat: trace.HeatStat{LocalMisses: 12, RemoteClean: 3}}},
+		Blocks: []trace.HeatEntry{{Key: 7, Stat: trace.HeatStat{InvalsSent: 2}}},
+	}
+	tracerBucket.Lat[0] = trace.HistSnap{Buckets: []trace.HistBucket{{Idx: 3, Count: 9}}, Total: 9, Sum: 3 * sim.Microsecond, Max: 400, Min: 300}
+	return []goldenSection{
+		{"engine", sim.EngineSnap{
 			Window:     4 * sim.Microsecond,
 			WindowBase: 4 * sim.Microsecond,
 			NumShards:  1,
@@ -59,8 +61,8 @@ func goldenSnapshot() *Snapshot {
 					Busy: 280 * sim.Microsecond, Memory: 100 * sim.Microsecond,
 					Counters: sim.Counters{Reads: 900, Writes: 180, RemoteClean: 40}},
 			},
-		},
-		Procs: []ProcSnap{
+		}},
+		{"procs", []ProcSnap{
 			{
 				Prefetch:  []PrefetchEntry{{Block: 7, Ready: 421 * sim.Microsecond}, {Block: 9, Ready: 422 * sim.Microsecond}},
 				PrefetchQ: []uint64{7, 9},
@@ -71,30 +73,24 @@ func goldenSnapshot() *Snapshot {
 				},
 			},
 			{Phase: "transpose", PhaseMark: Breakdown{Busy: 240 * sim.Microsecond}},
-		},
-		Caches: []cache.Snap{
+		}},
+		{"caches", []cache.Snap{
 			{Sets: 2, Assoc: 2, Tags: []uint64{7, 9, 0, 12},
 				State: []cache.State{cache.Shared, cache.Modified, cache.Invalid, cache.Shared},
 				Age:   []uint64{5, 6, 0, 7}, Clock: 8},
 			{Sets: 2, Assoc: 2, Tags: []uint64{7, 0, 0, 0},
 				State: []cache.State{cache.Shared, cache.Invalid, cache.Invalid, cache.Invalid},
 				Age:   []uint64{3, 0, 0, 0}, Clock: 4},
-		},
-		Directories: []directory.Snap{
-			{
-				Blocks: []directory.BlockSnap{
-					{Block: 7, State: directory.SharedState, Sharers: sharers01},
-					{Block: 9, State: directory.Exclusive, Owner: 0},
-					{Block: 12, State: directory.SharedState, Sharers: func() directory.Sharers {
-						var s directory.Sharers
-						s.Add(0)
-						return s
-					}()},
-				},
-				Shared: 2, Exclusive: 1,
+		}},
+		{"directories", []directory.Snap{{
+			Blocks: []directory.BlockSnap{
+				{Block: 7, State: directory.SharedState, Sharers: sharers01},
+				{Block: 9, State: directory.Exclusive, Owner: 0},
+				{Block: 12, State: directory.SharedState, Sharers: sharers0},
 			},
-		},
-		MemPolicy: mempolicy.TableSnap{
+			Shared: 2, Exclusive: 1,
+		}}},
+		{"mempolicy", mempolicy.TableSnap{
 			Kind:  "first-touch",
 			Gen:   3,
 			Homes: []mempolicy.PageHome{{Page: 0, Home: 0}, {Page: 1, Home: 0}},
@@ -103,19 +99,19 @@ func goldenSnapshot() *Snapshot {
 				Migrations: 1,
 				Counts:     []mempolicy.PageCounts{{Page: 1, Counts: []int32{3, 0}}},
 			},
-		},
-		Resources: ResourcesSnap{
+		}},
+		{"resources", ResourcesSnap{
 			Hubs:    []sim.ResourceSnap{{Name: "hub0", FreeAt: 419 * sim.Microsecond, Busy: 50 * sim.Microsecond, Queued: 2 * sim.Microsecond, Acquires: 120}},
 			Mems:    []sim.ResourceSnap{{Name: "mem0", FreeAt: 418 * sim.Microsecond, Busy: 30 * sim.Microsecond, Acquires: 80}},
 			Routers: []sim.ResourceSnap{{Name: "router0", Acquires: 10}},
 			Metas:   []sim.ResourceSnap{{Name: "meta0"}},
-		},
-		Memory: MemorySnap{NextAddr: 1 << 20, NodePages: []int{17}},
-		Syncs: []SyncRecord{
+		}},
+		{"memory", MemorySnap{NextAddr: 1 << 20, NodePages: []int{17}}},
+		{"syncs", []SyncRecord{
 			{Base: 4096, Kind: "barrier", State: json.RawMessage(`{"waiters":[1],"max_arr":419000000}`)},
 			{Base: 8192, Kind: "lock", State: json.RawMessage(`{"held":false,"holder":-1}`)},
-		},
-		Checker: &check.Snap{
+		}},
+		{"checker", check.Snap{
 			Blocks: []check.BlockSnap{
 				{
 					Block: 7, DirState: directory.SharedState, Sharers: sharers01, Ver: 4,
@@ -131,25 +127,18 @@ func goldenSnapshot() *Snapshot {
 			Clocks:        []sim.Time{420 * sim.Microsecond, 419 * sim.Microsecond},
 			MaxViolations: 16,
 			Events:        345,
-		},
-		Tracer: &trace.Snap{
+		}},
+		{"tracer", trace.Snap{
 			Rings: []trace.RingSnap{
 				{N: 5, Resident: []trace.Event{{Time: 1 * sim.Microsecond, Dur: 338, Addr: 7}}},
 				{N: 0},
 			},
-			Buckets: func() []trace.BucketSnap {
-				b := trace.BucketSnap{
-					Pages:  []trace.HeatEntry{{Key: 0, Stat: trace.HeatStat{LocalMisses: 12, RemoteClean: 3}}},
-					Blocks: []trace.HeatEntry{{Key: 7, Stat: trace.HeatStat{InvalsSent: 2}}},
-				}
-				b.Lat[0] = trace.HistSnap{Buckets: []trace.HistBucket{{Idx: 3, Count: 9}}, Total: 9, Sum: 3 * sim.Microsecond, Max: 400, Min: 300}
-				return []trace.BucketSnap{b}
-			}(),
-			Syncs:  []trace.SyncStat{{Obj: 4096, Label: "barrier#0", Waits: 7, TotalWait: 2 * sim.Microsecond, MaxWait: 800}},
-			SyncN:  []trace.LabelCount{{Label: "barrier", Count: 1}, {Label: "lock", Count: 1}},
-			Epochs: []sim.Time{100 * sim.Microsecond},
-		},
-		Metrics: &metrics.Snap{
+			Buckets: []trace.BucketSnap{tracerBucket},
+			Syncs:   []trace.SyncStat{{Obj: 4096, Label: "barrier#0", Waits: 7, TotalWait: 2 * sim.Microsecond, MaxWait: 800}},
+			SyncN:   []trace.LabelCount{{Label: "barrier", Count: 1}, {Label: "lock", Count: 1}},
+			Epochs:  []sim.Time{100 * sim.Microsecond},
+		}},
+		{"metrics", metrics.Snap{
 			ProcNext: []sim.Time{500 * sim.Microsecond, 500 * sim.Microsecond},
 			MachNext: 500 * sim.Microsecond,
 			PerProc: [][]metrics.ProcSample{
@@ -158,13 +147,56 @@ func goldenSnapshot() *Snapshot {
 			},
 			Machine: []metrics.MachineSample{{At: 100 * sim.Microsecond, Epoch: 1, Busy: 150 * sim.Microsecond}},
 			Epochs:  []sim.Time{100 * sim.Microsecond},
+		}},
+	}
+}
+
+// goldenSnapshot is the golden sections digested under a version 2
+// header.
+func goldenSnapshot() *Snapshot {
+	s := &Snapshot{Header: Header{
+		Version:       Version,
+		Procs:         2,
+		Engine:        "parallel",
+		Workers:       1,
+		WorkersForced: true,
+		QuiesSeq:      17,
+		VirtualTime:   420 * sim.Microsecond,
+		Spec: RunSpec{
+			App: "FFT", Size: 4096, Variant: "opt", Prefetch: true,
+			Div: 64, CacheDiv: 64, Steps: 2, Seed: 42,
 		},
+		Config: json.RawMessage(`{"Procs":2,"Engine":"parallel"}`),
+	}}
+	for _, sec := range goldenSections() {
+		if err := s.Add(sec.name, sec.v); err != nil {
+			panic(err)
+		}
 	}
 	return s
 }
 
-// TestStructuralRoundTrip is the structural tier's core property: every
-// section encodes, decodes, and compares equal.
+// golden returns a fresh copy of the golden value of section name.
+func golden(name string) any {
+	for _, sec := range goldenSections() {
+		if sec.name == name {
+			return sec.v
+		}
+	}
+	panic("no golden section " + name)
+}
+
+// clone copies a snapshot deeply enough that changing its digests leaves
+// the original alone.
+func clone(s *Snapshot) *Snapshot {
+	c := *s
+	c.Digests = maps.Clone(s.Digests)
+	return &c
+}
+
+// TestStructuralRoundTrip is the structural tier's core property: a
+// snapshot encodes to the header and one 32-byte digest per section,
+// decodes, validates and compares equal, and encodes deterministically.
 func TestStructuralRoundTrip(t *testing.T) {
 	want := goldenSnapshot()
 	data, err := want.Encode()
@@ -178,28 +210,22 @@ func TestStructuralRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("Validate after round-trip: %v", err)
 	}
-	// Per-section comparison for actionable failures.
-	sections := map[string][2]any{
-		"header":      {want.Header, got.Header},
-		"engine":      {want.Engine, got.Engine},
-		"procs":       {want.Procs, got.Procs},
-		"caches":      {want.Caches, got.Caches},
-		"directories": {want.Directories, got.Directories},
-		"mempolicy":   {want.MemPolicy, got.MemPolicy},
-		"resources":   {want.Resources, got.Resources},
-		"memory":      {want.Memory, got.Memory},
-		"syncs":       {want.Syncs, got.Syncs},
-		"checker":     {want.Checker, got.Checker},
-		"tracer":      {want.Tracer, got.Tracer},
-		"metrics":     {want.Metrics, got.Metrics},
+	if sec, ok := Diff(want, got); !ok {
+		t.Errorf("section %q did not survive the round-trip", sec)
 	}
-	for name, pair := range sections {
-		if !reflect.DeepEqual(pair[0], pair[1]) {
-			t.Errorf("section %q did not survive the round-trip:\nwant %+v\ngot  %+v", name, pair[0], pair[1])
-		}
+	// magic, version, header record, one digest record per section, end
+	// marker.
+	hdr, err := json.Marshal(&want.Header)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Determinism: the same state must always produce the same bytes (the
-	// resume proof and the golden fixture both depend on it).
+	size := 8 + 4 + (4 + len("header") + 8 + len(hdr)) + 4
+	for name := range want.Digests {
+		size += 4 + len(name) + 8 + sha256.Size
+	}
+	if len(data) != size {
+		t.Errorf("encoding is %d bytes, want %d: the header and one digest per section", len(data), size)
+	}
 	again, err := want.Encode()
 	if err != nil {
 		t.Fatalf("re-Encode: %v", err)
@@ -209,11 +235,13 @@ func TestStructuralRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRoundTripWithoutObservers checks the optional sections are really
+// TestRoundTripWithoutObservers checks the observer sections are really
 // optional.
 func TestRoundTripWithoutObservers(t *testing.T) {
-	want := goldenSnapshot()
-	want.Checker, want.Tracer, want.Metrics = nil, nil, nil
+	want := clone(goldenSnapshot())
+	for _, name := range observerSections {
+		delete(want.Digests, name)
+	}
 	data, err := want.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -222,11 +250,13 @@ func TestRoundTripWithoutObservers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Checker != nil || got.Tracer != nil || got.Metrics != nil {
-		t.Fatal("observer sections materialized from nothing")
+	for _, name := range observerSections {
+		if got.Has(name) {
+			t.Errorf("observer section %q materialized from nothing", name)
+		}
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("observerless snapshot did not survive the round-trip")
+	if sec, ok := Diff(want, got); !ok {
+		t.Fatalf("observerless snapshot did not survive the round-trip: section %q", sec)
 	}
 }
 
@@ -263,7 +293,7 @@ func TestCorruptedByteFuzz(t *testing.T) {
 }
 
 // TestCorruptionNamesSection checks the error names the section the damage
-// is in, so a corrupt multi-gigabyte checkpoint is diagnosable.
+// is in, so a corrupt checkpoint is diagnosable.
 func TestCorruptionNamesSection(t *testing.T) {
 	data, err := goldenSnapshot().Encode()
 	if err != nil {
@@ -313,102 +343,124 @@ func TestTruncatedFuzz(t *testing.T) {
 	}
 }
 
+// record is one framed section: its name and raw payload.
+type record struct {
+	name    string
+	payload []byte
+}
+
+// frame builds an originckpt container of the given version from records,
+// in order.
+func frame(version uint32, recs ...record) []byte {
+	var b bytes.Buffer
+	b.WriteString(magic)
+	writeU32(&b, version)
+	for _, r := range recs {
+		writeSection(&b, r.name, r.payload)
+	}
+	writeU32(&b, 0)
+	return b.Bytes()
+}
+
+// v2Records returns the golden snapshot's v2 records, header first.
+func v2Records(t *testing.T) []record {
+	t.Helper()
+	s := goldenSnapshot()
+	hdr, err := json.Marshal(&s.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []record{{secHeader, hdr}}
+	for _, name := range sectionNames[1:] {
+		if d, ok := s.Digests[name]; ok {
+			out = append(out, record{name, d[:]})
+		}
+	}
+	return out
+}
+
+// TestDecodeRejectsBadStreams: each malformation is a FormatError naming
+// the section it is in.
 func TestDecodeRejectsBadStreams(t *testing.T) {
 	valid, err := goldenSnapshot().Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	cases := map[string][]byte{
-		"empty":          {},
-		"bad magic":      append([]byte("NOTACKPT"), valid[8:]...),
-		"trailing bytes": append(append([]byte(nil), valid...), 0xAA),
+	recs := v2Records(t)
+	plus := func(extra ...record) []record { return append(slices.Clone(recs), extra...) }
+	without := func(name string) []record {
+		return slices.DeleteFunc(slices.Clone(recs), func(r record) bool { return r.name == name })
 	}
-	// A duplicated section: replay the header section record twice.
-	{
-		// magic(8) + version(4), then the header section follows first.
-		rest := valid[12:]
-		var hdrLen int
-		{
-			nameLen := int(uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24)
-			payLen := int(uint32(rest[4+nameLen]) | uint32(rest[5+nameLen])<<8 | uint32(rest[6+nameLen])<<16 | uint32(rest[7+nameLen])<<24)
-			hdrLen = 4 + nameLen + 4 + 4 + payLen
-		}
-		dup := append([]byte(nil), valid[:12]...)
-		dup = append(dup, rest[:hdrLen]...)
-		dup = append(dup, rest...)
-		cases["duplicate section"] = dup
+	cases := []struct {
+		name, section string
+		data          []byte
+	}{
+		{"empty", "", nil},
+		{"bad magic", "", append([]byte("NOTACKPT"), valid[8:]...)},
+		{"trailing bytes", "", append(append([]byte(nil), valid...), 0xAA)},
+		{"version 3", "", frame(3, recs...)},
+		{"duplicate section", "caches", frame(Version, plus(recs[3])...)},
+		{"unknown section", "zz_section", frame(Version, plus(record{"zz_section", make([]byte, sha256.Size)})...)},
+		{"short digest", "engine", frame(Version, append(without("engine"), record{"engine", make([]byte, sha256.Size-1)})...)},
+		{"missing header", "header", frame(Version, recs[1:]...)},
+		{"missing simulation section", "syncs", frame(Version, without("syncs")...)},
 	}
-	// A checkpoint of a run under the retired adaptive window policy: its
-	// engine section carries the policy's state, which this build cannot
-	// replay, so the decode must fail there instead of resuming under the
-	// fixed window.
-	const adaptiveEra = "engine section with adaptive-window state"
-	{
-		var b bytes.Buffer
-		b.WriteString(magic)
-		writeU32(&b, Version)
-		for _, sec := range goldenSnapshot().sections() {
-			if !sec.present {
-				continue
-			}
-			payload, err := json.Marshal(sec.ptr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sec.name == secEngine {
-				payload = append([]byte(`{"adaptive":true,"window_max":64000000,"mark_chains":3,"mark_commits":2,"mark_runs":1,`), payload[1:]...)
-			}
-			writeSection(&b, sec.name, payload)
-		}
-		writeU32(&b, 0)
-		cases[adaptiveEra] = b.Bytes()
-	}
-	for name, data := range cases {
-		_, err := Decode(data)
-		if err == nil {
-			t.Errorf("%s: Decode accepted it", name)
+	for _, c := range cases {
+		_, err := Decode(c.data)
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want a FormatError", c.name, err)
 			continue
 		}
-		var fe *FormatError
-		if name == adaptiveEra && (!errors.As(err, &fe) || fe.Section != secEngine) {
-			t.Errorf("%s: got %v, want a FormatError naming section %q", name, err, secEngine)
+		if fe.Section != c.section {
+			t.Errorf("%s: got %v, want a FormatError naming section %q", c.name, err, c.section)
 		}
 	}
 }
 
-// TestDecodeRejectsUnknownFields pins strict decoding section by section: a
-// field the section does not declare must fail Decode with a FormatError
-// naming that section and the field, never be dropped. A checkpoint that
-// carries state this build has no place for (a retired engine policy's,
-// say) would otherwise resume without it.
+// TestDecodeRejectsUnknownFields pins, section by section, that a field
+// the section does not declare is never dropped. In the header, which a
+// checkpoint keeps whole, it fails Decode with a FormatError naming the
+// header and the field. In any other section of a v1 checkpoint it is part
+// of the digested payload, so the checkpoint decodes but fails the resume
+// proof in that section. A checkpoint that carries state this build has no
+// place for (a retired engine policy's, say) would otherwise resume
+// without it.
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	const unknown = "zz_not_a_field"
-	for _, target := range goldenSnapshot().sections() {
-		if !target.present {
-			continue
+	want := goldenSnapshot()
+	t.Run(secHeader, func(t *testing.T) {
+		recs := v2Records(t)
+		recs[0].payload = withField(t, recs[0].payload, unknown)
+		_, err := Decode(frame(Version, recs...))
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Section != secHeader || !strings.Contains(fe.Msg, unknown) {
+			t.Fatalf("got %v, want a FormatError naming section %q and field %q", err, secHeader, unknown)
 		}
+	})
+	hdr, err := json.Marshal(&want.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range goldenSections() {
 		t.Run(target.name, func(t *testing.T) {
-			var b bytes.Buffer
-			b.WriteString(magic)
-			writeU32(&b, Version)
-			for _, sec := range goldenSnapshot().sections() {
-				if !sec.present {
-					continue
-				}
-				payload, err := json.Marshal(sec.ptr)
+			recs := []record{{secHeader, hdr}}
+			for _, sec := range goldenSections() {
+				payload, err := json.Marshal(sec.v)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if sec.name == target.name {
 					payload = withField(t, payload, unknown)
 				}
-				writeSection(&b, sec.name, payload)
+				recs = append(recs, record{sec.name, payload})
 			}
-			writeU32(&b, 0)
-			_, err := Decode(b.Bytes())
-			var fe *FormatError
-			if !errors.As(err, &fe) || fe.Section != target.name || !strings.Contains(fe.Msg, unknown) {
-				t.Fatalf("got %v, want a FormatError naming section %q and field %q", err, target.name, unknown)
+			got, err := Decode(frame(1, recs...))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if sec, ok := ProveEqual(want, got); ok || sec != target.name {
+				t.Errorf("ProveEqual reported (%q, %v), want (%s, false)", sec, ok, target.name)
 			}
 		})
 	}
@@ -431,6 +483,46 @@ func withField(t *testing.T, payload []byte, key string) []byte {
 	return append(out, payload[i+1:]...)
 }
 
+// TestV1PayloadsAreDigestedOnRead: a v1 container's non-header payloads
+// are the sections' canonical JSON, and Decode digests them as it reads.
+// A checkpoint of a run under the retired adaptive window policy carries
+// that policy's state in its engine section, so it decodes but fails the
+// proof in that section instead of replaying under the fixed window.
+func TestV1PayloadsAreDigestedOnRead(t *testing.T) {
+	want := goldenSnapshot()
+	hdr, err := json.Marshal(&want.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []record{{secHeader, hdr}}
+	adaptive := []record{{secHeader, hdr}}
+	for _, sec := range goldenSections() {
+		payload, err := json.Marshal(sec.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, record{sec.name, payload})
+		if sec.name == "engine" {
+			payload = append([]byte(`{"adaptive":true,"window_max":64000000,"mark_chains":3,"mark_commits":2,"mark_runs":1,`), payload[1:]...)
+		}
+		adaptive = append(adaptive, record{sec.name, payload})
+	}
+	got, err := Decode(frame(1, recs...))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if sec, ok := Diff(want, got); !ok {
+		t.Errorf("v1 framing digests differently from Add in section %q", sec)
+	}
+	old, err := Decode(frame(1, adaptive...))
+	if err != nil {
+		t.Fatalf("Decode of the adaptive-era checkpoint: %v", err)
+	}
+	if sec, ok := ProveEqual(want, old); ok || sec != "engine" {
+		t.Errorf("adaptive-era checkpoint proved (%q, %v), want (engine, false)", sec, ok)
+	}
+}
+
 func TestValidateCatchesStructuralDamage(t *testing.T) {
 	mutations := []struct {
 		name    string
@@ -439,38 +531,16 @@ func TestValidateCatchesStructuralDamage(t *testing.T) {
 	}{
 		{"wrong version", secHeader, func(s *Snapshot) { s.Header.Version = 99 }},
 		{"zero procs", secHeader, func(s *Snapshot) { s.Header.Procs = 0 }},
-		{"more procs than a sharer set tracks", secHeader, func(s *Snapshot) { s.Header.Procs = directory.MaxProcs + 1 }},
-		{"engine proc count", secEngine, func(s *Snapshot) { s.Engine.Procs = s.Engine.Procs[:1] }},
-		{"engine proc ids", secEngine, func(s *Snapshot) { s.Engine.Procs[1].ID = 7 }},
-		{"proc count", secProcs, func(s *Snapshot) { s.Procs = append(s.Procs, ProcSnap{}) }},
-		{"unsorted prefetch", secProcs, func(s *Snapshot) {
-			s.Procs[0].Prefetch[0], s.Procs[0].Prefetch[1] = s.Procs[0].Prefetch[1], s.Procs[0].Prefetch[0]
-		}},
-		{"cache count", secCaches, func(s *Snapshot) { s.Caches = s.Caches[:1] }},
-		{"cache geometry", secCaches, func(s *Snapshot) { s.Caches[0].Tags = s.Caches[0].Tags[:2] }},
-		{"unsorted directory", secDirectories, func(s *Snapshot) {
-			b := s.Directories[0].Blocks
-			b[0], b[1] = b[1], b[0]
-		}},
-		{"unsorted homes", secMemPolicy, func(s *Snapshot) {
-			h := s.MemPolicy.Homes
-			h[0], h[1] = h[1], h[0]
-		}},
-		{"node count", secMemory, func(s *Snapshot) { s.Memory.NodePages = nil }},
-		{"checker clocks", secChecker, func(s *Snapshot) { s.Checker.Clocks = s.Checker.Clocks[:1] }},
-		{"metrics series", secMetrics, func(s *Snapshot) { s.Metrics.PerProc = s.Metrics.PerProc[:1] }},
+		{"zero quiescent point", secHeader, func(s *Snapshot) { s.Header.QuiesSeq = 0 }},
+		{"missing simulation section", "memory", func(s *Snapshot) { delete(s.Digests, "memory") }},
 	}
 	for _, mu := range mutations {
-		s := goldenSnapshot()
+		s := clone(goldenSnapshot())
 		mu.mutate(s)
 		err := s.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate accepted it", mu.name)
-			continue
-		}
 		var fe *FormatError
 		if !errors.As(err, &fe) {
-			t.Errorf("%s: error is %T, want *FormatError: %v", mu.name, err, err)
+			t.Errorf("%s: Validate returned %v, want a FormatError", mu.name, err)
 			continue
 		}
 		if fe.Section != mu.section {
@@ -480,10 +550,15 @@ func TestValidateCatchesStructuralDamage(t *testing.T) {
 	if err := goldenSnapshot().Validate(); err != nil {
 		t.Fatalf("unmutated snapshot fails Validate: %v", err)
 	}
+	if err := (&Snapshot{}).Add(secHeader, 1); err == nil {
+		t.Error("Add digested the header, which a checkpoint keeps whole")
+	}
 }
 
-// TestProveEqualAndDiff: the resume proof compares every section but the
-// header, observers included, and Diff compares the header too.
+// TestProveEqualAndDiff: the resume proof compares the digest of every
+// section but the header, observers included, and Diff compares the
+// header too. A digest follows a section's content: one changed field
+// changes it, and values that marshal alike digest alike.
 func TestProveEqualAndDiff(t *testing.T) {
 	a := goldenSnapshot()
 	if sec, ok := ProveEqual(a, goldenSnapshot()); !ok {
@@ -494,17 +569,37 @@ func TestProveEqualAndDiff(t *testing.T) {
 	}
 	for _, c := range []struct {
 		section string
-		tamper  func(*Snapshot)
+		tamper  func(*Snapshot) error
 	}{
-		{secCaches, func(s *Snapshot) { s.Caches[0].Clock++ }},
-		{secChecker, func(s *Snapshot) { s.Checker.Events++ }},
-		{secTracer, func(s *Snapshot) { s.Tracer.Rings[0].N++ }},
-		{secMetrics, func(s *Snapshot) { s.Metrics.MachNext++ }},
-		{secSharing, func(s *Snapshot) { s.Sharing = &sharing.Snap{Procs: 2, Nodes: 1, NodeRemote: []int64{0}} }},
-		{secChecker, func(s *Snapshot) { s.Checker = nil }},
+		{"caches", func(s *Snapshot) error {
+			c := golden("caches").([]cache.Snap)
+			c[0].Clock++
+			return s.Add("caches", c)
+		}},
+		{"checker", func(s *Snapshot) error {
+			c := golden("checker").(check.Snap)
+			c.Events++
+			return s.Add("checker", c)
+		}},
+		{"tracer", func(s *Snapshot) error {
+			tr := golden("tracer").(trace.Snap)
+			tr.Rings[0].N++
+			return s.Add("tracer", tr)
+		}},
+		{"metrics", func(s *Snapshot) error {
+			m := golden("metrics").(metrics.Snap)
+			m.MachNext++
+			return s.Add("metrics", m)
+		}},
+		{"sharing", func(s *Snapshot) error {
+			return s.Add("sharing", sharing.Snap{Procs: 2, Nodes: 1, NodeRemote: []int64{0}})
+		}},
+		{"checker", func(s *Snapshot) error { delete(s.Digests, "checker"); return nil }},
 	} {
 		b := goldenSnapshot()
-		c.tamper(b)
+		if err := c.tamper(b); err != nil {
+			t.Fatal(err)
+		}
 		if sec, ok := ProveEqual(a, b); ok || sec != c.section {
 			t.Errorf("ProveEqual reported (%q, %v), want (%s, false)", sec, ok, c.section)
 		}
@@ -522,111 +617,75 @@ func TestProveEqualAndDiff(t *testing.T) {
 		t.Errorf("Diff reported (%q, %v), want (header, false)", sec, ok)
 	}
 	// Content decides, not representation: an empty slice where a decoded
-	// snapshot holds nil marshals alike under omitempty, so it proves equal
-	// though the values are not deeply equal.
+	// snapshot holds nil marshals alike under omitempty, so it digests
+	// alike though the values are not deeply equal.
 	b = goldenSnapshot()
-	b.Procs[1].PhaseAcc = []PhaseTotal{}
+	procs := golden("procs").([]ProcSnap)
+	procs[1].PhaseAcc = []PhaseTotal{}
+	if err := b.Add("procs", procs); err != nil {
+		t.Fatal(err)
+	}
 	if sec, ok := Diff(a, b); !ok {
 		t.Errorf("a nil and an empty omitted slice Diff in %q", sec)
 	}
 }
 
 // TestProveEqualCoversEverySection walks the section list the codec walks:
-// changing any section but the header must fail ProveEqual and Diff naming
-// that section, and changing the header must fail Diff alone. A section
-// added to the format is a proof obligation from the start. A present
-// section is cleared; an absent observer section is given an empty one.
+// changing any section's digest must fail ProveEqual and Diff naming that
+// section, and so must dropping a present section or adding an absent
+// one; changing the header must fail Diff alone. A section added to the
+// format is a proof obligation from the start.
 func TestProveEqualCoversEverySection(t *testing.T) {
 	live := goldenSnapshot()
-	for i, sec := range live.sections() {
-		t.Run(sec.name, func(t *testing.T) {
-			recorded := goldenSnapshot()
-			v := reflect.ValueOf(recorded.sections()[i].ptr).Elem()
-			if v.IsZero() {
-				v.Set(reflect.New(v.Type().Elem()))
-			} else {
-				v.SetZero()
+	live.Digests["sharing"] = sha256.Sum256([]byte("{}")) // the fixture predates the classifier
+	for _, name := range sectionNames {
+		t.Run(name, func(t *testing.T) {
+			if name == secHeader {
+				recorded := clone(live)
+				recorded.Header = Header{}
+				if got, ok := ProveEqual(live, recorded); !ok {
+					t.Errorf("ProveEqual looked at the header: section %q", got)
+				}
+				if got, ok := Diff(live, recorded); ok || got != secHeader {
+					t.Errorf("Diff reported (%q, %v), want (header, false)", got, ok)
+				}
+				return
 			}
-			wantProof := sec.name
-			if sec.name == secHeader {
-				wantProof = ""
-			}
-			if got, ok := ProveEqual(live, recorded); got != wantProof || ok != (wantProof == "") {
-				t.Errorf("ProveEqual reported (%q, %v), want (%q, %v)", got, ok, wantProof, wantProof == "")
-			}
-			if got, ok := Diff(live, recorded); ok || got != sec.name {
-				t.Errorf("Diff reported (%q, %v), want (%s, false)", got, ok, sec.name)
+			for what, tamper := range map[string]func(*Snapshot){
+				"altered": func(s *Snapshot) { d := s.Digests[name]; d[0] ^= 1; s.Digests[name] = d },
+				"dropped": func(s *Snapshot) { delete(s.Digests, name) },
+			} {
+				recorded := clone(live)
+				tamper(recorded)
+				if got, ok := ProveEqual(live, recorded); ok || got != name {
+					t.Errorf("%s: ProveEqual reported (%q, %v), want (%s, false)", what, got, ok, name)
+				}
+				if got, ok := Diff(recorded, live); ok || got != name {
+					t.Errorf("%s: Diff reported (%q, %v), want (%s, false)", what, got, ok, name)
+				}
 			}
 		})
-	}
-}
-
-func TestAuditState(t *testing.T) {
-	s := goldenSnapshot()
-	if v := AuditState(s); len(v) != 0 {
-		t.Fatalf("healthy snapshot audits dirty: %v", v)
-	}
-	// A dropped invalidation: the directory cleared p1's sharer bit for
-	// block 7 but p1 still holds the line.
-	bad := goldenSnapshot()
-	var only0 directory.Sharers
-	only0.Add(0)
-	bad.Directories[0].Blocks[0].Sharers = only0
-	v := AuditState(bad)
-	if len(v) == 0 {
-		t.Fatal("stale sharer not detected")
-	}
-	found := false
-	for _, x := range v {
-		if x.Block == 7 && x.Proc == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("violations do not name block 7 / p1: %v", v)
-	}
-	// And the reverse: a sharer bit with no line behind it.
-	bad2 := goldenSnapshot()
-	bad2.Caches[1].State[0] = cache.Invalid
-	if v := AuditState(bad2); len(v) == 0 {
-		t.Fatal("orphan sharer bit not detected")
 	}
 }
 
 const goldenPath = "testdata/originckpt_v1.bin"
 
 // TestCompatGoldenFixture is the compatibility tier: the checked-in v1
-// fixture must keep decoding to exactly the synthetic snapshot, so any
-// format change forces a deliberate version bump (and a new fixture)
-// instead of silently orphaning old checkpoints.
+// fixture, written before version 2, must keep decoding to the golden
+// header and to the digests of the golden sections, so a checkpoint a
+// version 1 build wrote still proves against a live replay.
 func TestCompatGoldenFixture(t *testing.T) {
-	want := goldenSnapshot()
-	data, err := os.ReadFile(goldenPath)
-	if errors.Is(err, os.ErrNotExist) {
-		enc, eerr := want.Encode()
-		if eerr != nil {
-			t.Fatalf("Encode: %v", eerr)
-		}
-		if merr := os.MkdirAll(filepath.Dir(goldenPath), 0o755); merr != nil {
-			t.Fatalf("mkdir testdata: %v", merr)
-		}
-		if werr := os.WriteFile(goldenPath, enc, 0o644); werr != nil {
-			t.Fatalf("write golden fixture: %v", werr)
-		}
-		t.Logf("wrote new golden fixture %s (%d bytes) — commit it", goldenPath, len(enc))
-		data = enc
-	} else if err != nil {
-		t.Fatalf("read golden fixture: %v", err)
-	}
-	got, err := Decode(data)
+	got, err := ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("golden fixture no longer decodes: %v", err)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("golden fixture no longer validates: %v", err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("golden fixture decodes to different content — format drift; bump the version and regenerate deliberately")
+	want := goldenSnapshot()
+	want.Header.Version = 1
+	if sec, ok := Diff(want, got); !ok {
+		t.Fatalf("golden fixture differs in section %q — format drift", sec)
 	}
 }
 
@@ -640,7 +699,14 @@ func TestWriteReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("file round-trip lost content")
+	if sec, ok := Diff(want, got); !ok {
+		t.Fatalf("file round-trip lost section %q", sec)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), magic+"\x02\x00\x00\x00") {
+		t.Errorf("file does not start with the magic and version 2: %q", raw[:12])
 	}
 }
