@@ -5,7 +5,7 @@ package origin2000
 // run at a reduced scale — problem sizes and the 4MB cache divided by the
 // same factor, preserving working-set-to-cache ratios — so a full
 // `go test -bench=. -benchmem` completes in minutes. Use
-// cmd/origin-experiments -full for paper-scale runs.
+// `origin experiments -full` for paper-scale runs.
 
 import (
 	"io"

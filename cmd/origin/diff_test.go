@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,17 +12,27 @@ import (
 	"origin2000/internal/workload"
 )
 
-// TestDiffExactAttribution is the PR's acceptance criterion for origin-diff:
+// parseDiff parses args as origin diff's flags and resolves them.
+func parseDiff(t *testing.T, args ...string) *opts {
+	t.Helper()
+	o, fs := newFlagSet("diff", io.Discard)
+	if !o.parse(fs, args) {
+		t.Fatalf("origin diff %q did not parse", args)
+	}
+	return o
+}
+
+// TestDiffExactAttribution is the acceptance criterion for origin diff:
 // comparing a first-touch FFT run against a round-robin one must produce a
 // component breakdown whose total equals the measured virtual-time delta
 // exactly — not approximately.
 func TestDiffExactAttribution(t *testing.T) {
-	base := runBase{appName: "FFT", procs: 8, scale: 64, seed: 42}
-	a, err := runSpec("placement=ft", base)
+	o := parseDiff(t, "-app", "FFT", "-procs", "8", "-scale", "64")
+	a, err := runSpec("placement=ft", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runSpec("placement=rr", base)
+	b, err := runSpec("placement=rr", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +64,14 @@ func TestDiffExactAttribution(t *testing.T) {
 
 // TestApplySpecRejectsUnknownKeys pins spec parsing errors.
 func TestApplySpecRejectsUnknownKeys(t *testing.T) {
-	base := runBase{appName: "FFT", procs: 4, scale: 64, seed: 42}
-	if _, err := runSpec("bogus=1", base); err == nil {
+	o := parseDiff(t, "-app", "FFT", "-procs", "4", "-scale", "64")
+	if _, err := runSpec("bogus=1", o); err == nil {
 		t.Error("unknown spec key accepted")
 	}
-	if _, err := runSpec("placement=diagonal", base); err == nil {
+	if _, err := runSpec("placement=diagonal", o); err == nil {
 		t.Error("bad placement value accepted")
 	}
-	_, err := runSpec("variant=smaple", base)
+	_, err := runSpec("variant=smaple", o)
 	if !errors.As(err, new(specError)) {
 		t.Fatalf("unknown variant: err = %v, want a spec error", err)
 	}
@@ -80,7 +91,7 @@ func TestApplySpecRejectsUnknownKeys(t *testing.T) {
 		"migrate=-5": "migrate=-5",
 		"procs=300":  "procs=300: ",
 	} {
-		_, err := runSpec(spec, base)
+		_, err := runSpec(spec, o)
 		if !errors.As(err, new(specError)) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want a spec error naming %q", spec, err, want)
 		}

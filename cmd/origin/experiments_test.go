@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,7 @@ func TestCaptureWritesFailingTrace(t *testing.T) {
 	}
 
 	clean := t.TempDir()
-	if err := capture(s, clean, run); err != nil {
+	if err := capture(s, clean, io.Discard, run); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	if files, err := os.ReadDir(clean); err != nil || len(files) != 0 {
@@ -46,7 +47,7 @@ func TestCaptureWritesFailingTrace(t *testing.T) {
 		})
 	}
 	dir := t.TempDir()
-	err := capture(s, dir, run)
+	err := capture(s, dir, io.Discard, run)
 	var v *check.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("faulted run returned %v, want the checker's violation", err)
@@ -61,5 +62,38 @@ func TestCaptureWritesFailingTrace(t *testing.T) {
 	}
 	if !json.Valid(b) {
 		t.Errorf("%s is not valid JSON", path)
+	}
+}
+
+// TestExperimentsChecksFlagsFirst: an experiment name Run does not accept,
+// and a processor count no directory can hold, exit 2 naming the flag
+// before the header or any table is printed.
+func TestExperimentsChecksFlagsFirst(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-run", "bogus"}, []string{"-run", `"bogus"`, "fig6", "sec62", "ablation"}},
+		{[]string{"-run", "fig2", "-procs", "200", "-scale", "64"}, []string{"-procs 200", "capacity of 128"}},
+		{[]string{"-run", "fig3", "-procs", "8,200", "-scale", "64"}, []string{"-procs 200", "capacity of 128"}},
+	} {
+		code, stdout, stderr := runCLI(append([]string{"experiments"}, c.args...)...)
+		if code != 2 || stdout != "" {
+			t.Errorf("%q: exit %d, stdout %q; want exit 2 and no output", c.args, code, stdout)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(stderr, w) {
+				t.Errorf("%q: stderr %q does not name %s", c.args, stderr, w)
+			}
+		}
+	}
+}
+
+// TestExperimentsRunsFigureAlias: fig6 is one of the names Run accepts,
+// so the -run check lets it through to the Figures 5-8 driver.
+func TestExperimentsRunsFigureAlias(t *testing.T) {
+	code, stdout, stderr := runCLI("experiments", "-run", "fig6", "-scale", "1024", "-procs", "2", "-steps", "1")
+	if code != 0 || !strings.Contains(stdout, "\nFigure 6: FFT, ") {
+		t.Errorf("exit %d, stderr %q, stdout\n%s\nwant Figure 6", code, stderr, stdout)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"origin2000/internal/scenario"
 )
 
-// TestSeriesMatchFigure4 checks that origin-sweep plots Figure 4's points.
+// TestSeriesMatchFigure4 checks that origin sweep plots Figure 4's points.
 // At Div 64, Scale.Size maps all four of Protein's sweep sizes to 12, so a
 // sweep that scaled its sizes that way would repeat one point.
 func TestSeriesMatchFigure4(t *testing.T) {
@@ -26,6 +26,6 @@ func TestSeriesMatchFigure4(t *testing.T) {
 		t.Fatalf("Figure 4's Protein panel has %d curves, want 2", len(want))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("origin-sweep's series\n%+v\nwant Figure 4's\n%+v", got, want)
+		t.Errorf("origin sweep's series\n%+v\nwant Figure 4's\n%+v", got, want)
 	}
 }

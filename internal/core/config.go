@@ -175,7 +175,7 @@ type Config struct {
 	// CritPath enables the virtual-time critical-path recorder
 	// (internal/critpath): per-processor snapshots at every full-machine
 	// barrier arrival and release, embedded in run artifacts and analyzed
-	// by origin-diff -critpath. Recording happens inside the serialized
+	// by origin diff -critpath. Recording happens inside the serialized
 	// barrier protocol and reads virtual-time data only, so it is
 	// bit-identical at any worker count and perturbs nothing.
 	CritPath bool

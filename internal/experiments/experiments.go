@@ -377,7 +377,7 @@ func (se *Session) Sequential(app workload.App, paperSize int) (sim.Time, error)
 
 // SweepSeries measures one efficiency-versus-size curve: app at procs
 // processors over its sweep sizes, with X the SweepSize-scaled sizes.
-// Figures 4 and 9 and origin-sweep plot these points; the caller labels
+// Figures 4 and 9 and origin sweep plot these points; the caller labels
 // the series.
 func (se *Session) SweepSeries(app workload.App, procs int, variant string) (perf.Series, error) {
 	var s perf.Series

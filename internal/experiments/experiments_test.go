@@ -157,16 +157,39 @@ func TestSessionCachesSequentialRuns(t *testing.T) {
 	}
 }
 
+// TestRunByNameAndNames: Names lists every name Run accepts, the aliases
+// fig5 to fig8 and sec62 included, once each; Run refuses any other; and
+// All runs the paper's experiments in paper order.
 func TestRunByNameAndNames(t *testing.T) {
 	se := testSession()
 	var sb strings.Builder
 	if err := Run("table1", se, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run("nope", se, &sb); err == nil {
-		t.Fatal("unknown experiment should error")
+	if err := Run("nope", se, &sb); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("unknown experiment: err = %v, want one naming it", err)
 	}
-	if len(Names()) < 10 {
-		t.Error("experiment list too short")
+	names := Names()
+	for _, n := range []string{"table1", "table2", "table3", "fig2", "fig3", "fig4",
+		"fig5", "fig6", "fig7", "fig8", "fig5-8", "fig9", "fig10",
+		"sec61", "sec62", "sec63", "sec71", "sec72", "ablation", "all"} {
+		if !slices.Contains(names, n) {
+			t.Errorf("Names() = %v lacks %q, which Run accepts", names, n)
+		}
+	}
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) != len(names) {
+		t.Errorf("Names() = %v repeats a name", names)
+	}
+	var all []string
+	for _, e := range experimentList {
+		if e.inAll {
+			all = append(all, e.name)
+		}
+	}
+	if want := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5-8", "fig9", "fig10",
+		"table3", "sec61", "sec63", "sec71", "sec72"}; !slices.Equal(all, want) {
+		t.Errorf("All runs %v, want %v", all, want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"origin2000/internal/sim"
 	"origin2000/internal/synchro"
 	"origin2000/internal/topology"
-	"origin2000/internal/workload"
 )
 
 // Sec61Prefetch regenerates the Section 6.1 study: software prefetching of
@@ -258,81 +257,69 @@ func Sec72ProcsPerNode(se *Session, w io.Writer) error {
 	return nil
 }
 
+// experiment is one name Run accepts. The ones in All run there, in paper
+// order; the rest are aliases of one of those, or the ablation, which is
+// not the paper's.
+type experiment struct {
+	name  string
+	run   func(se *Session, w io.Writer) error
+	inAll bool
+}
+
+// experimentList is every name Run accepts but "all".
+var experimentList = []experiment{
+	{"table1", func(_ *Session, w io.Writer) error { return Table1(w) }, true},
+	{"table2", Table2, true},
+	{"fig2", Figure2, true},
+	{"fig3", Figure3, true},
+	{"fig4", Figure4, true},
+	{"fig5-8", Figures5to8, true},
+	{"fig5", Figures5to8, false},
+	{"fig6", Figures5to8, false},
+	{"fig7", Figures5to8, false},
+	{"fig8", Figures5to8, false},
+	{"fig9", Figure9, true},
+	{"fig10", Figure10, true},
+	{"table3", Table3, true},
+	{"sec61", Sec61Prefetch, true},
+	{"sec62", Table3, false}, // migration is Table 3's third column
+	{"sec63", Sec63Synchronization, true},
+	{"sec71", Sec71Mapping, true},
+	{"sec72", Sec72ProcsPerNode, true},
+	{"ablation", Ablation, false},
+}
+
 // All runs every experiment in paper order at the session's scale.
 func All(se *Session, w io.Writer) error {
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"table1", func() error { return Table1(w) }},
-		{"table2", func() error { return Table2(se, w) }},
-		{"fig2", func() error { return Figure2(se, w) }},
-		{"fig3", func() error { return Figure3(se, w) }},
-		{"fig4", func() error { return Figure4(se, w) }},
-		{"fig5-8", func() error { return Figures5to8(se, w) }},
-		{"fig9", func() error { return Figure9(se, w) }},
-		{"fig10", func() error { return Figure10(se, w) }},
-		{"table3", func() error { return Table3(se, w) }},
-		{"sec61", func() error { return Sec61Prefetch(se, w) }},
-		{"sec63", func() error { return Sec63Synchronization(se, w) }},
-		{"sec71", func() error { return Sec71Mapping(se, w) }},
-		{"sec72", func() error { return Sec72ProcsPerNode(se, w) }},
-	}
-	for _, s := range steps {
-		if err := s.fn(); err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
+	for _, e := range experimentList {
+		if !e.inAll {
+			continue
+		}
+		if err := e.run(se, w); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 	}
 	return nil
 }
 
-// Run executes the named experiment ("table1", "fig4", "sec71", ... or
-// "all") at the session's scale.
+// Run executes the named experiment (one of Names) at the session's scale.
 func Run(name string, se *Session, w io.Writer) error {
-	switch name {
-	case "all":
+	if name == "all" {
 		return All(se, w)
-	case "table1":
-		return Table1(w)
-	case "table2":
-		return Table2(se, w)
-	case "table3":
-		return Table3(se, w)
-	case "fig2":
-		return Figure2(se, w)
-	case "fig3":
-		return Figure3(se, w)
-	case "fig4":
-		return Figure4(se, w)
-	case "fig5", "fig6", "fig7", "fig8", "fig5-8":
-		return Figures5to8(se, w)
-	case "fig9":
-		return Figure9(se, w)
-	case "fig10":
-		return Figure10(se, w)
-	case "sec61":
-		return Sec61Prefetch(se, w)
-	case "sec62":
-		return Table3(se, w) // migration is Table 3's third column
-	case "sec63":
-		return Sec63Synchronization(se, w)
-	case "sec71":
-		return Sec71Mapping(se, w)
-	case "sec72":
-		return Sec72ProcsPerNode(se, w)
-	case "ablation":
-		return Ablation(se, w)
+	}
+	for _, e := range experimentList {
+		if e.name == name {
+			return e.run(se, w)
+		}
 	}
 	return fmt.Errorf("experiments: unknown experiment %q", name)
 }
 
-// Names lists the runnable experiment names.
+// Names lists every name Run accepts.
 func Names() []string {
-	return []string{
-		"table1", "table2", "fig2", "fig3", "fig4", "fig5-8", "fig9",
-		"fig10", "table3", "sec61", "sec63", "sec71", "sec72",
-		"ablation", "all",
+	names := make([]string, 0, len(experimentList)+1)
+	for _, e := range experimentList {
+		names = append(names, e.name)
 	}
+	return append(names, "all")
 }
-
-var _ = workload.Params{} // keep the import stable for future drivers

@@ -38,8 +38,9 @@ func TestSharingOffByDefault(t *testing.T) {
 
 // saveSharingReport is the golden-test failure hook: when an application's
 // built-in output verification fails, the scenario is deterministically
-// re-run with the sharing classifier on and the origin-explain report JSON
-// is dropped into the CI artifact directory (ORIGIN_TRACE_ARTIFACTS) — a
+// re-run with the sharing classifier on, and its report (the one
+// `origin run -explain` prints) is dropped as JSON into the CI artifact
+// directory (ORIGIN_TRACE_ARTIFACTS) — a
 // wrong-output failure ships its sharing diagnosis alongside the event
 // trace, so the first triage question ("what was the memory system doing?")
 // is answered before anyone reproduces locally.

@@ -46,7 +46,7 @@ type SyncSite struct {
 }
 
 // Artifact is one run's saved measurement state: enough to re-render the
-// paper-style breakdowns and to serve as either side of origin-diff without
+// paper-style breakdowns and to serve as either side of origin diff without
 // re-running the simulation.
 type Artifact struct {
 	Schema  string `json:"schema"`
@@ -78,7 +78,7 @@ type Artifact struct {
 	// Sharing is the sharing-classifier report (nil when Config.Sharing was
 	// off): per-block pattern classification, true/false-sharing splits of
 	// coherence misses, and home-imbalance attribution, rendered by
-	// origin-explain and diffed by origin-diff.
+	// origin run -explain and diffed by origin diff.
 	Sharing *sharing.Report `json:"sharing,omitempty"`
 }
 

@@ -3,7 +3,7 @@
 // occupancy at the shared resources, the directory's state mix, and
 // miss-class counts on a fixed virtual-time grid, producing deterministic
 // time-series — the raw material for the paper's stacked breakdown figures
-// and for cross-run differential attribution (cmd/origin-diff).
+// and for cross-run differential attribution (origin diff).
 //
 // The sampler follows the internal/check and internal/trace discipline: it
 // is gated by core.Config.Metrics, costs nothing but nil checks when off,
@@ -14,9 +14,6 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
-
 	"origin2000/internal/memclass"
 	"origin2000/internal/sim"
 )
@@ -36,11 +33,6 @@ type Options struct {
 	// series are sparse when clocks jump (blocked processors do not
 	// generate filler samples).
 	Interval sim.Time
-	// OnMachineSample, when set, is called synchronously with each machine
-	// sample as it is recorded — the live-streaming tap cmd/origin-dash
-	// uses. It runs on a simulated-processor goroutine and must not mutate
-	// simulated state; it has no effect on the recorded series.
-	OnMachineSample func(MachineSample) `json:"-"`
 }
 
 // ProcSample is one processor's cumulative state at a grid crossing. All
@@ -143,35 +135,6 @@ func (ps *ProcSample) MissCount(c memclass.Class) int64 {
 	return 0
 }
 
-// HubQueuedTotal sums the per-node Hub queueing delays.
-func (ms *MachineSample) HubQueuedTotal() sim.Time { return sumTimes(ms.HubQueued) }
-
-// MemQueuedTotal sums the per-node memory queueing delays.
-func (ms *MachineSample) MemQueuedTotal() sim.Time { return sumTimes(ms.MemQueued) }
-
-// RouterQueuedTotal sums the per-router queueing delays.
-func (ms *MachineSample) RouterQueuedTotal() sim.Time { return sumTimes(ms.RouterQueued) }
-
-// HottestHub returns the node with the largest cumulative Hub queueing in
-// this sample (ties go to the lowest node id; -1 when empty).
-func (ms *MachineSample) HottestHub() (node int, queued sim.Time) {
-	node = -1
-	for i, q := range ms.HubQueued {
-		if node < 0 || q > queued {
-			node, queued = i, q
-		}
-	}
-	return node, queued
-}
-
-func sumTimes(ts []sim.Time) sim.Time {
-	var s sim.Time
-	for _, t := range ts {
-		s += t
-	}
-	return s
-}
-
 // Sampler records the time-series for one machine. All recording methods
 // are called from simulated-processor goroutines, which the engine
 // serializes, so no locking is needed and recording order is deterministic.
@@ -244,9 +207,6 @@ func (s *Sampler) RecordMachine(ms MachineSample) {
 	ms.Epoch = int64(ms.At / s.interval)
 	s.machNext = sim.Time(ms.Epoch+1) * s.interval
 	s.machine = append(s.machine, ms)
-	if s.opts.OnMachineSample != nil {
-		s.opts.OnMachineSample(ms)
-	}
 }
 
 // RecordFinal appends a final machine sample at the end of a run without
@@ -259,13 +219,10 @@ func (s *Sampler) RecordFinal(ms MachineSample) {
 	}
 	ms.Epoch = int64(ms.At / s.interval)
 	s.machine = append(s.machine, ms)
-	if s.opts.OnMachineSample != nil {
-		s.opts.OnMachineSample(ms)
-	}
 }
 
 // EpochMark records a phase boundary (a global barrier release) at the
-// given virtual time. Marks partition the run into the epochs origin-diff
+// given virtual time. Marks partition the run into the epochs origin diff
 // aligns across runs.
 func (s *Sampler) EpochMark(at sim.Time) { s.epochs = append(s.epochs, at) }
 
@@ -288,96 +245,4 @@ func (s *Sampler) Samples() int {
 		n += len(ps)
 	}
 	return n
-}
-
-// machineCSVHeader is the column layout of WriteMachineCSV. The miss-class
-// columns take their names from the shared taxonomy (internal/memclass).
-var machineCSVHeader = []string{
-	"at_ps", "epoch", "busy_ps", "memory_ps", "sync_ps",
-	memclass.Local.CounterKey(), memclass.RemoteClean.CounterKey(),
-	memclass.RemoteDirty.CounterKey(), memclass.Upgrade.CounterKey(),
-	"invalidations", "writebacks", "page_migrations",
-	"dir_shared", "dir_exclusive",
-	"hub_queued_ps", "mem_queued_ps", "router_queued_ps",
-	"hottest_hub", "hottest_hub_queued_ps",
-}
-
-// WriteMachineCSV writes a machine-sample series as CSV: one row per
-// sample, cumulative totals plus the hottest Hub (per-node series are in
-// the JSON artifact; the CSV is the spreadsheet-friendly projection).
-func WriteMachineCSV(w io.Writer, samples []MachineSample) error {
-	if err := writeCSVRow(w, machineCSVHeader); err != nil {
-		return err
-	}
-	for i := range samples {
-		ms := &samples[i]
-		hot, hotQ := ms.HottestHub()
-		row := []string{
-			fmt.Sprint(int64(ms.At)), fmt.Sprint(ms.Epoch),
-			fmt.Sprint(int64(ms.Busy)), fmt.Sprint(int64(ms.Memory)), fmt.Sprint(int64(ms.Sync)),
-			fmt.Sprint(ms.LocalMisses), fmt.Sprint(ms.RemoteClean),
-			fmt.Sprint(ms.RemoteDirty), fmt.Sprint(ms.Upgrades),
-			fmt.Sprint(ms.Invalidations), fmt.Sprint(ms.Writebacks), fmt.Sprint(ms.PageMigrations),
-			fmt.Sprint(ms.DirShared), fmt.Sprint(ms.DirExclusive),
-			fmt.Sprint(int64(ms.HubQueuedTotal())), fmt.Sprint(int64(ms.MemQueuedTotal())),
-			fmt.Sprint(int64(ms.RouterQueuedTotal())),
-			fmt.Sprint(hot), fmt.Sprint(int64(hotQ)),
-		}
-		if err := writeCSVRow(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV writes the sampler's machine series as CSV.
-func (s *Sampler) WriteCSV(w io.Writer) error { return WriteMachineCSV(w, s.machine) }
-
-// WriteProcCSV writes every per-processor series as long-format CSV (one
-// row per processor per sample).
-func (s *Sampler) WriteProcCSV(w io.Writer) error {
-	header := []string{
-		"proc", "at_ps", "epoch", "busy_ps", "memory_ps", "sync_ps",
-		"local_stall_ps", "remote_stall_ps", "contention_stall_ps",
-		"sync_wait_ps", "sync_overhead_ps",
-		"hits", memclass.Local.CounterKey(), memclass.RemoteClean.CounterKey(),
-		memclass.RemoteDirty.CounterKey(), memclass.Upgrade.CounterKey(),
-	}
-	if err := writeCSVRow(w, header); err != nil {
-		return err
-	}
-	for proc, series := range s.perProc {
-		for i := range series {
-			ps := &series[i]
-			row := []string{
-				fmt.Sprint(proc),
-				fmt.Sprint(int64(ps.At)), fmt.Sprint(ps.Epoch),
-				fmt.Sprint(int64(ps.Busy)), fmt.Sprint(int64(ps.Memory)), fmt.Sprint(int64(ps.Sync)),
-				fmt.Sprint(int64(ps.LocalStall)), fmt.Sprint(int64(ps.RemoteStall)),
-				fmt.Sprint(int64(ps.ContentionStall)),
-				fmt.Sprint(int64(ps.SyncWait)), fmt.Sprint(int64(ps.SyncOverhead)),
-				fmt.Sprint(ps.Hits), fmt.Sprint(ps.LocalMisses),
-				fmt.Sprint(ps.RemoteClean), fmt.Sprint(ps.RemoteDirty), fmt.Sprint(ps.Upgrades),
-			}
-			if err := writeCSVRow(w, row); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeCSVRow(w io.Writer, cells []string) error {
-	for i, c := range cells {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, c); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"origin2000/internal/sim"
@@ -41,14 +40,7 @@ func TestSamplerGridOneSamplePerCell(t *testing.T) {
 }
 
 func TestSamplerMachineGridAndFinal(t *testing.T) {
-	var streamed []MachineSample
-	s := New(1, Options{
-		Enabled:  true,
-		Interval: 100,
-		OnMachineSample: func(ms MachineSample) {
-			streamed = append(streamed, ms)
-		},
-	})
+	s := New(1, Options{Enabled: true, Interval: 100})
 	if !s.MachineDue(100) {
 		t.Fatal("machine sample not due at the boundary")
 	}
@@ -61,56 +53,6 @@ func TestSamplerMachineGridAndFinal(t *testing.T) {
 	s.RecordFinal(MachineSample{At: 150})
 	if got := len(s.MachineSeries()); got != 2 {
 		t.Fatalf("machine series length = %d, want 2 (final deduped)", got)
-	}
-	if len(streamed) != 2 {
-		t.Errorf("OnMachineSample saw %d samples, want 2", len(streamed))
-	}
-}
-
-func TestMachineSampleHelpers(t *testing.T) {
-	ms := MachineSample{
-		HubQueued:    []sim.Time{3, 7, 7},
-		MemQueued:    []sim.Time{1, 2, 3},
-		RouterQueued: []sim.Time{4},
-	}
-	if got := ms.HubQueuedTotal(); got != 17 {
-		t.Errorf("HubQueuedTotal = %d", got)
-	}
-	if got := ms.MemQueuedTotal(); got != 6 {
-		t.Errorf("MemQueuedTotal = %d", got)
-	}
-	if got := ms.RouterQueuedTotal(); got != 4 {
-		t.Errorf("RouterQueuedTotal = %d", got)
-	}
-	if node, q := ms.HottestHub(); node != 1 || q != 7 {
-		t.Errorf("HottestHub = (%d, %d), want (1, 7): lowest id wins ties", node, q)
-	}
-}
-
-func TestWriteMachineCSV(t *testing.T) {
-	var sb strings.Builder
-	samples := []MachineSample{
-		{At: 100, Epoch: 1, Busy: 50, HubQueued: []sim.Time{0, 9}},
-		{At: 200, Epoch: 2, Busy: 120, HubQueued: []sim.Time{3, 9}},
-	}
-	if err := WriteMachineCSV(&sb, samples); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2", len(lines))
-	}
-	cols := strings.Split(lines[0], ",")
-	for i, line := range lines[1:] {
-		if got := len(strings.Split(line, ",")); got != len(cols) {
-			t.Errorf("row %d has %d cells, header has %d", i, got, len(cols))
-		}
-	}
-	if !strings.HasPrefix(lines[1], "100,1,50,") {
-		t.Errorf("row 1 = %q", lines[1])
-	}
-	if !strings.Contains(lines[1], ",1,9") { // hottest hub, queued
-		t.Errorf("row 1 missing hottest-hub columns: %q", lines[1])
 	}
 }
 

@@ -69,8 +69,7 @@ type PageReport struct {
 }
 
 // Report is the observer's aggregated diagnosis: the JSON shape stored
-// in the metrics artifact's "sharing" section and served by
-// origin-dash's /api/sharing.
+// in the metrics artifact's "sharing" section.
 type Report struct {
 	Procs  int `json:"procs"`
 	Nodes  int `json:"nodes"`
