@@ -172,7 +172,7 @@ func newFlagSet(name string, stderr io.Writer) (*opts, *flag.FlagSet) {
 		case "top":
 			fs.IntVar(&o.top, f, c.top, "rows per ranked table (0 = all)")
 		case "record":
-			fs.StringVar(&o.record, f, "", "write the run's artifact JSON, sharing report included, here (an origin diff side)")
+			fs.StringVar(&o.record, f, "", "write the run's artifact JSON here, with sampler series, critical path, page heat and sharing report (an origin diff side)")
 		case "engine":
 			fs.StringVar(&o.engine, f, "serial", "execution engine: serial, or parallel (bit-identical; measured slower than serial)")
 		case "workers":

@@ -11,6 +11,7 @@ import (
 
 	"origin2000/internal/core"
 	"origin2000/internal/experiments"
+	"origin2000/internal/metrics"
 	"origin2000/internal/perf"
 	"origin2000/internal/sharing"
 	"origin2000/internal/sim"
@@ -30,7 +31,9 @@ import (
 // sharing-pattern census, the miss causes with coherence misses split into
 // true and false sharing, the false-sharing suspects with advice, the
 // remote misses by home node, and a verdict naming the scaling limiter.
-// -record writes the run's artifact, which origin diff reads as a side.
+// -record writes the run's artifact, which origin diff reads as a side: it
+// turns on what a live diff side has, the sampler, the critical-path
+// recorder, page heat and the sharing classifier.
 // -checkpoint-every writes an originckpt/v2 checkpoint — the run's header
 // and a digest of every section of the machine's state — at each quiescent
 // window boundary on the given virtual-time grid. -resume replays the run
@@ -85,12 +88,20 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if o.trace != "" {
 		cfg.Trace = trace.Options{Enabled: true, Lossless: true}
-	} else if o.arrays {
-		// Per-array attribution is folded from the tracer's page heat.
+	} else if o.arrays || o.record != "" {
+		// Per-array attribution is folded from the tracer's page heat,
+		// and the record carries the hottest pages.
 		cfg.Trace.Enabled = true
 	}
-	// The record carries the sharing report, as -explain prints it.
+	// The record is as full a diff side as origin diff's live runs: it
+	// carries the sharing report (as -explain prints it), the sampler's
+	// series and phase epochs at diff's default interval, and the
+	// critical path.
 	cfg.Sharing.Enabled = o.explain || o.record != ""
+	if o.record != "" {
+		cfg.Metrics = metrics.Options{Enabled: true}
+		cfg.CritPath = true
+	}
 	cfg.HostProf = o.hostprof != ""
 	if every > 0 {
 		if err := os.MkdirAll(o.ckptDir, 0o755); err != nil {

@@ -273,3 +273,37 @@ func line(out, prefix string) string {
 	}
 	return ""
 }
+
+// TestRunRecordIsAFullDiffSide: a record carries what a live diff side
+// does (sampler series, phase epochs, page heat and the critical path), so
+// diffing one against itself with -critpath prints its epochs and its
+// critical path.
+func TestRunRecordIsAFullDiffSide(t *testing.T) {
+	rec := filepath.Join(t.TempDir(), "r.json")
+	run := []string{"-app", "FFT", "-procs", "4", "-scale", "64"}
+	if code, _, stderr := runCLI(append([]string{"run", "-record", rec}, run...)...); code != 0 {
+		t.Fatalf("recorded run: exit %d: %s", code, stderr)
+	}
+	a, err := metrics.ReadArtifact(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Machine) == 0 || len(a.Epochs) == 0 || len(a.Pages) == 0 || a.CritPath == nil {
+		t.Errorf("record holds %d samples, %d epochs, %d pages and critical path %v; want all four",
+			len(a.Machine), len(a.Epochs), len(a.Pages), a.CritPath != nil)
+	}
+	code, stdout, stderr := runCLI(append([]string{"diff", "-a", rec, "-b", rec, "-critpath"}, run...)...)
+	if code != 0 {
+		t.Fatalf("diff: exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"epoch  A (ms)", "critical path A: ", "critical path B: ", "TOTAL (= elapsed)"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("diff -critpath of the record printed no %q:\n%s", want, stdout)
+		}
+	}
+	for _, note := range []string{"no phase epochs recorded", "no critical-path record"} {
+		if strings.Contains(stdout, note) {
+			t.Errorf("diff -critpath of the record says %q:\n%s", note, stdout)
+		}
+	}
+}

@@ -48,11 +48,31 @@ type Cache struct {
 	sets    int
 	setMask int // sets-1 when sets is a power of two, else -1
 	assoc   int
-	tags    []uint64 // block numbers, indexed set*assoc+way
-	state   []State
-	age     []uint64 // LRU stamps
+	lines   []line // indexed set*assoc+way
 	clock   uint64
 }
+
+// line is one cache line: its block number and coherence state packed into
+// one key, and its LRU stamp. A 2-way set is then 32 bytes, one host cache
+// line, so a probe touches one host line. An invalidated line keeps its
+// block number: only the state bits clear.
+type line struct {
+	key uint64 // block<<stateBits | state
+	age uint64 // LRU stamp
+}
+
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+	// maxBlock is the largest block number a key can hold.
+	maxBlock = 1<<(64-stateBits) - 1
+)
+
+func (l line) block() uint64 { return l.key >> stateBits }
+func (l line) state() State  { return State(l.key & stateMask) }
+
+// setState replaces the line's state, keeping its block number.
+func (l *line) setState(s State) { l.key = l.key&^stateMask | uint64(s) }
 
 // New creates a cache with the given geometry.
 func New(cfg Config) *Cache {
@@ -64,7 +84,6 @@ func New(cfg Config) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	n := sets * cfg.Assoc
 	mask := -1
 	if sets&(sets-1) == 0 {
 		mask = sets - 1 // power-of-two geometry: index with a mask, not a divide
@@ -73,9 +92,7 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		setMask: mask,
 		assoc:   cfg.Assoc,
-		tags:    make([]uint64, n),
-		state:   make([]State, n),
-		age:     make([]uint64, n),
+		lines:   make([]line, sets*cfg.Assoc),
 	}
 }
 
@@ -92,11 +109,12 @@ func (c *Cache) setOf(block uint64) int {
 	return int(block % uint64(c.sets))
 }
 
+// find returns the index of block's valid line, or -1.
 func (c *Cache) find(block uint64) int {
 	base := c.setOf(block) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.state[base+w] != Invalid && c.tags[base+w] == block {
-			return base + w
+	for i := base; i < base+c.assoc; i++ {
+		if k := c.lines[i].key; k>>stateBits == block && k&stateMask != 0 {
+			return i
 		}
 	}
 	return -1
@@ -109,8 +127,8 @@ func (c *Cache) Lookup(block uint64) State {
 		return Invalid
 	}
 	c.clock++
-	c.age[i] = c.clock
-	return c.state[i]
+	c.lines[i].age = c.clock
+	return c.lines[i].state()
 }
 
 // Peek reports the state of block without touching LRU.
@@ -119,7 +137,7 @@ func (c *Cache) Peek(block uint64) State {
 	if i < 0 {
 		return Invalid
 	}
-	return c.state[i]
+	return c.lines[i].state()
 }
 
 // Victim describes a block displaced by Insert.
@@ -137,8 +155,8 @@ func (c *Cache) Insert(block uint64, s State) (victim Victim, evicted bool) {
 			panic("cache: inserting Invalid")
 		}
 		c.clock++
-		c.age[i] = c.clock
-		c.state[i] = s
+		c.lines[i].age = c.clock
+		c.lines[i].setState(s)
 		return Victim{}, false
 	}
 	return c.Fill(block, s)
@@ -152,29 +170,31 @@ func (c *Cache) Fill(block uint64, s State) (victim Victim, evicted bool) {
 	if s == Invalid {
 		panic("cache: inserting Invalid")
 	}
+	if block > maxBlock {
+		panic("cache: block number out of range")
+	}
 	base := c.setOf(block) * c.assoc
 	// Prefer an invalid way; otherwise evict the least recently used.
 	way := -1
 	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.state[i] == Invalid {
+	for i := base; i < base+c.assoc; i++ {
+		l := &c.lines[i]
+		if l.state() == Invalid {
 			way = i
 			break
 		}
-		if c.age[i] < oldest {
-			oldest = c.age[i]
+		if l.age < oldest {
+			oldest = l.age
 			way = i
 		}
 	}
-	if c.state[way] != Invalid {
-		victim = Victim{Block: c.tags[way], State: c.state[way]}
+	l := &c.lines[way]
+	if st := l.state(); st != Invalid {
+		victim = Victim{Block: l.block(), State: st}
 		evicted = true
 	}
 	c.clock++
-	c.tags[way] = block
-	c.state[way] = s
-	c.age[way] = c.clock
+	*l = line{key: block<<stateBits | uint64(s), age: c.clock}
 	return victim, evicted
 }
 
@@ -187,17 +207,18 @@ func (c *Cache) PeekVictim(block uint64) (victim Victim, evicted bool) {
 	base := c.setOf(block) * c.assoc
 	way := -1
 	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.state[i] == Invalid {
+	for i := base; i < base+c.assoc; i++ {
+		l := &c.lines[i]
+		if l.state() == Invalid {
 			return Victim{}, false
 		}
-		if c.age[i] < oldest {
-			oldest = c.age[i]
+		if l.age < oldest {
+			oldest = l.age
 			way = i
 		}
 	}
-	return Victim{Block: c.tags[way], State: c.state[way]}, true
+	l := &c.lines[way]
+	return Victim{Block: l.block(), State: l.state()}, true
 }
 
 // SetState changes the state of a present block; it panics if absent.
@@ -206,11 +227,7 @@ func (c *Cache) SetState(block uint64, s State) {
 	if i < 0 {
 		panic("cache: SetState on absent block")
 	}
-	if s == Invalid {
-		c.state[i] = Invalid
-		return
-	}
-	c.state[i] = s
+	c.lines[i].setState(s)
 }
 
 // Invalidate removes block, returning its previous state (Invalid if the
@@ -220,8 +237,8 @@ func (c *Cache) Invalidate(block uint64) State {
 	if i < 0 {
 		return Invalid
 	}
-	s := c.state[i]
-	c.state[i] = Invalid
+	s := c.lines[i].state()
+	c.lines[i].setState(Invalid)
 	return s
 }
 
@@ -232,9 +249,9 @@ func (c *Cache) Downgrade(block uint64) State {
 	if i < 0 {
 		return Invalid
 	}
-	s := c.state[i]
+	s := c.lines[i].state()
 	if s == Modified {
-		c.state[i] = Shared
+		c.lines[i].setState(Shared)
 	}
 	return s
 }
@@ -243,11 +260,11 @@ func (c *Cache) Downgrade(block uint64) State {
 // dropped (tests use it to verify writeback accounting).
 func (c *Cache) Flush() int {
 	dirty := 0
-	for i := range c.state {
-		if c.state[i] == Modified {
+	for i := range c.lines {
+		if c.lines[i].state() == Modified {
 			dirty++
 		}
-		c.state[i] = Invalid
+		c.lines[i].setState(Invalid)
 	}
 	return dirty
 }
@@ -255,8 +272,8 @@ func (c *Cache) Flush() int {
 // CountValid reports the number of valid lines (test/diagnostic aid).
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, s := range c.state {
-		if s != Invalid {
+	for _, l := range c.lines {
+		if l.state() != Invalid {
 			n++
 		}
 	}

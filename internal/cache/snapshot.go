@@ -1,9 +1,9 @@
 package cache
 
-// Snap is the serializable state of one cache: geometry plus the raw line
-// arrays. Tags and LRU stamps are captured verbatim (including lines that
-// are currently Invalid) so a checkpoint's digest of them matches a live
-// re-capture's at the same virtual-time point.
+// Snap is the serializable state of one cache: geometry plus its lines,
+// unpacked into one array per field. Tags and LRU stamps are captured
+// verbatim (including lines that are currently Invalid) so a checkpoint's
+// digest of them matches a live re-capture's at the same virtual-time point.
 type Snap struct {
 	Sets  int      `json:"sets"`
 	Assoc int      `json:"assoc"`
@@ -15,12 +15,17 @@ type Snap struct {
 
 // Snap captures the cache's full state.
 func (c *Cache) Snap() Snap {
-	return Snap{
+	n := len(c.lines)
+	s := Snap{
 		Sets:  c.sets,
 		Assoc: c.assoc,
-		Tags:  append([]uint64(nil), c.tags...),
-		State: append([]State(nil), c.state...),
-		Age:   append([]uint64(nil), c.age...),
+		Tags:  make([]uint64, n),
+		State: make([]State, n),
+		Age:   make([]uint64, n),
 		Clock: c.clock,
 	}
+	for i, l := range c.lines {
+		s.Tags[i], s.State[i], s.Age[i] = l.block(), l.state(), l.age
+	}
+	return s
 }

@@ -37,3 +37,28 @@ func BenchmarkResourceAcquire(b *testing.B) {
 		t = r.Acquire(t, 40)
 	}
 }
+
+// BenchmarkWindowTurnover measures round turnover at Radix/128's shape:
+// 128 processors on 64 shards, each advancing 8 windows per step from
+// staggered clocks, so each window runs 16 processors of 16 shards and
+// leaves the other 112 waiting. One op is one window.
+func BenchmarkWindowTurnover(b *testing.B) {
+	const procs, shards, stride = 128, 64, 8
+	e := NewEngine(procs, Microsecond)
+	shardOf := make([]int, procs)
+	for i := range shardOf {
+		shardOf[i] = i / (procs / shards)
+	}
+	e.SetShards(shardOf, shards)
+	steps := b.N/stride + 1
+	b.ResetTimer()
+	err := e.Run(func(p *Proc) {
+		p.Advance(Time(p.ID()%stride)*Microsecond, StatBusy)
+		for i := 0; i < steps; i++ {
+			p.Advance(stride*Microsecond, StatBusy)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -71,7 +71,6 @@ type Proc struct {
 	limit    Time // park when now exceeds this (window edge - 1)
 	blocked  bool
 	finished bool
-	shard    int  // static shard assignment (SetShards)
 	lane     int  // host lane that resumes this processor
 	mode     int8 // modePhase1 or modeCommit
 	global   int  // open AwaitGlobal sections; >0 pins the proc to the commit chain
@@ -100,7 +99,7 @@ func (p *Proc) Engine() *Engine { return p.e }
 func (p *Proc) Now() Time { return p.now }
 
 // Shard returns the processor's shard index.
-func (p *Proc) Shard() int { return p.shard }
+func (p *Proc) Shard() int { return int(p.e.shardOf[p.id]) }
 
 // Seq returns the processor's most recent commit sequence number: its
 // position in the global (virtual time, proc, seq) commit order the last
@@ -195,9 +194,17 @@ func (p *Proc) windowPark() {
 // processor of its phase-1 shard heap or of the commit heap, or leaves the
 // lane without a successor, which ends the chain and returns control to
 // the coordinator. In phase 1 only processors of p's shard touch the shard
-// heap, so chains from different shards never share mutable state.
+// heap, so chains from different shards never share mutable state. It first
+// records where p waits in waitAt: every stop passes through here, so at a
+// round open waitAt holds each processor's clock or notRunnable. Concurrent
+// phase-1 chains write the entries of distinct processors.
 func (p *Proc) chainStep() {
 	e := p.e
+	if p.blocked || p.finished {
+		e.waitAt[p.id] = notRunnable
+	} else {
+		e.waitAt[p.id] = p.now
+	}
 	if e.runAhead {
 		// Run-ahead fast path: hand control directly to the next-lowest
 		// runnable clock of the lone active shard. A cross-shard wake
@@ -246,7 +253,7 @@ func (p *Proc) chainStep() {
 		}
 		return
 	}
-	h := &e.shardHeaps[p.shard]
+	h := &e.shardHeaps[e.shardOf[p.id]]
 	if len(*h) > 0 {
 		q := h.pop()
 		q.mode = modePhase1
@@ -327,7 +334,8 @@ func (p *Proc) AwaitGlobal() bool {
 	// Phase 1: stage for this window's commit phase and continue the
 	// shard chain. The coordinator merges staged processors into the
 	// commit heap at the phase barrier.
-	e.staged[p.shard] = append(e.staged[p.shard], p)
+	s := e.shardOf[p.id]
+	e.staged[s] = append(e.staged[s], p)
 	p.chainStep()
 	p.park()
 	p.mode = modeCommit
@@ -374,8 +382,9 @@ func (p *Proc) Wake(q *Proc, t Time) {
 	}
 	q.blocked = false
 	e := p.e
+	e.waitAt[q.id] = q.now
 	if e.runAhead {
-		if q.shard != e.raShard {
+		if e.shardOf[q.id] != e.raShard {
 			e.raExit = true
 			if p.limit > p.now-1 {
 				p.limit = p.now - 1
@@ -394,11 +403,12 @@ func (p *Proc) Wake(q *Proc, t Time) {
 		}
 		return
 	}
-	if q.shard != p.shard {
+	s := e.shardOf[p.id]
+	if e.shardOf[q.id] != s {
 		panic("sim: cross-shard Wake outside a global section")
 	}
 	if q.now < e.windowEnd {
-		e.shardHeaps[p.shard].push(q)
+		e.shardHeaps[s].push(q)
 	}
 }
 
@@ -426,11 +436,12 @@ func (p *Proc) WakeBatch(qs []*Proc, t Time) {
 			q.now = t
 		}
 		q.blocked = false
+		e.waitAt[q.id] = q.now
 	}
 	if e.runAhead {
 		h := &e.shardHeaps[e.raShard]
 		for _, q := range qs {
-			if q.shard != e.raShard {
+			if e.shardOf[q.id] != e.raShard {
 				e.raExit = true
 				continue
 			}

@@ -35,14 +35,14 @@
 // coroutine switches per handoff, with no channel operation and no
 // scheduler wake-up. The Run goroutine drives lane 0, which carries every
 // serial chain (commit, run-ahead, turnover); lanes 1..workers-1 each have
-// one helper goroutine per Run. Within a window, shard chains are claimed
-// from a shared counter in shard order: a chain that runs dry immediately
-// starts the next unclaimed shard's chain on the same lane (work
-// stealing), so the central Run loop is involved only at window
-// boundaries, for deadlock detection, and for panic propagation. Which
-// lane executes a shard never affects results — shards are state-disjoint
-// and the claim order is fixed — so stealing only moves wall-clock time
-// around.
+// one helper goroutine per Run. Within a window, the chains of the shards
+// with queued work are claimed from a shared counter in shard order: a
+// chain that runs dry immediately starts the next unclaimed shard's chain
+// on the same lane (work stealing), so the central Run loop is involved
+// only at window boundaries, for deadlock detection, and for panic
+// propagation. Which lane executes a shard never affects results — shards
+// are state-disjoint and the claim order is fixed — so stealing only moves
+// wall-clock time around.
 //
 // # Run-ahead fast path
 //
@@ -85,6 +85,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -107,6 +108,10 @@ const (
 
 // maxTime is the run-ahead limit of a processor with no runnable peers.
 const maxTime Time = 1<<62 - 1
+
+// notRunnable is the waitAt entry of a blocked or finished processor: it
+// is later than every window edge, so no window queues the processor.
+const notRunnable Time = 1<<63 - 1
 
 // Milliseconds reports t as a floating-point number of milliseconds.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
@@ -207,11 +212,26 @@ type Engine struct {
 	window  Time // window width W, fixed for the engine's lifetime
 	workers int  // max concurrently executing shard chains in phase 1
 
+	// Dense per-processor scheduling state, indexed by id, so that opening
+	// a round reads two small arrays instead of every Proc. waitAt is the
+	// clock at which a stopped processor waits to run, or notRunnable while
+	// it is blocked or finished: chainStep writes it at every stop, and
+	// Wake and WakeBatch when a processor becomes runnable. shardOf is each
+	// processor's shard (SetShards).
+	waitAt  []Time
+	shardOf []int32
+
 	numShards  int
 	shardHeaps []procHeap // phase-1 run queues, one per shard
 	staged     [][]*Proc  // per-shard AwaitGlobal arrivals, merged at the phase barrier
 	commit     procHeap   // phase-2 queue, ordered (suspend time, id)
 	commitSeq  int64      // total commits so far; stamps Proc.seq at merge
+
+	// active lists the current window's shards with queued phase-1 work,
+	// ascending; openWindow builds it through the busy bitset. Only these
+	// shards are claimed for chains and merged at the phase barrier.
+	active []int32
+	busy   []uint64
 
 	windowEnd Time // current window edge (exclusive); maxTime in run-ahead mode
 
@@ -219,14 +239,15 @@ type Engine struct {
 	// control passes directly between them through the shard's heap. raExit
 	// is set when a cross-shard wake invalidates the mode's precondition.
 	runAhead bool
-	raShard  int
+	raShard  int32
 	raExit   bool
 
-	// stealNext is the next shard index to claim for phase 1. Dispatch
-	// claims shards in index order; a dying chain claims the next one
-	// itself instead of round-tripping through the coordinator. Atomic
-	// because chains of different shards race to claim; the claim order —
-	// and therefore the schedule — is fixed regardless of who wins.
+	// stealNext is the index into active of the next shard to claim for
+	// phase 1. Dispatch claims shards in ascending order; a dying chain
+	// claims the next one itself instead of round-tripping through the
+	// coordinator. Atomic because chains of different shards race to
+	// claim; the claim order — and therefore the schedule — is fixed
+	// regardless of who wins.
 	stealNext atomic.Int64
 
 	// Scheduling-shape statistics (deterministic: derived from the
@@ -278,6 +299,8 @@ func NewEngine(n int, quantum Time) *Engine {
 	for i := range e.procs {
 		e.procs[i] = &Proc{id: i, e: e}
 	}
+	e.waitAt = make([]Time, n)
+	e.shardOf = make([]int32, n)
 	e.setShardCount(1)
 	return e
 }
@@ -297,7 +320,7 @@ func (e *Engine) SetShards(shardOf []int, n int) {
 		if s < 0 || s >= n {
 			panic("sim: SetShards shard index out of range")
 		}
-		e.procs[i].shard = s
+		e.shardOf[i] = int32(s)
 	}
 	e.setShardCount(n)
 }
@@ -306,6 +329,8 @@ func (e *Engine) setShardCount(n int) {
 	e.numShards = n
 	e.shardHeaps = make([]procHeap, n)
 	e.staged = make([][]*Proc, n)
+	e.active = make([]int32, 0, n)
+	e.busy = make([]uint64, (n+63)/64)
 }
 
 // NumShards reports the number of shards.
@@ -365,11 +390,12 @@ func (e *Engine) Run(body func(p *Proc)) error {
 		e.shardHeaps[s] = e.shardHeaps[s][:0]
 		e.staged[s] = e.staged[s][:0]
 	}
-	for _, p := range e.procs {
+	for i, p := range e.procs {
 		p.finished = false
 		p.blocked = false
 		p.mode = modePhase1
 		p.global = 0
+		e.waitAt[i] = p.now
 		p.spawn(body)
 	}
 	defer e.startLanes()()
@@ -411,9 +437,10 @@ func (e *Engine) Run(body func(p *Proc)) error {
 // mergeStaged is the phase barrier: it merges the shards' AwaitGlobal
 // arrivals into the commit queue. The heap orders commits by (suspend time,
 // id), so the merge result is independent of shard execution order; the
-// shard-major visit order only assigns the diagnostic seq stamps.
+// shard-major visit order only assigns the diagnostic seq stamps. Only the
+// window's active shards ran, so only they can hold arrivals.
 func (e *Engine) mergeStaged() {
-	for s := range e.staged {
+	for _, s := range e.active {
 		for _, p := range e.staged[s] {
 			e.commitSeq++
 			p.seq = e.commitSeq
@@ -506,9 +533,10 @@ const (
 	roundWindow
 )
 
-// openRound opens the next scheduling round. It scans for runnable
-// processors and their smallest clock, announces the round to the quiescent
-// hook, and then either enters the run-ahead fast path — every runnable
+// openRound opens the next scheduling round. It scans the dense waitAt and
+// shardOf arrays for the smallest runnable clock and whether every runnable
+// processor shares one shard, announces the round to the quiescent hook,
+// and then either enters the run-ahead fast path — every runnable
 // processor is in one shard, so windowing has nothing to order — or opens
 // the window around that clock. The coordinator (Run, between rounds) and
 // the last chain of a dying window (turnover) both open rounds here, so they
@@ -518,37 +546,33 @@ func (e *Engine) openRound(coordinator bool) round {
 	if e.prof != nil {
 		e.prof.SerialBegin(SerialTurnover)
 	}
-	runnable := 0
-	var minNow Time = maxTime
-	loneShard, oneShard := -1, true
-	quiet := true
-	for _, p := range e.procs {
-		if p.finished {
+	minNow := notRunnable
+	loneShard, oneShard := int32(-1), true
+	i := 0
+	for ; i < len(e.waitAt) && oneShard; i++ {
+		t := e.waitAt[i]
+		if t == notRunnable {
 			continue
 		}
-		if p.global > 0 {
-			quiet = false
-		}
-		if p.blocked {
-			continue
-		}
-		runnable++
-		if p.now < minNow {
-			minNow = p.now
-		}
-		if loneShard < 0 {
-			loneShard = p.shard
-		} else if p.shard != loneShard {
+		minNow = min(minNow, t)
+		if s := e.shardOf[i]; loneShard < 0 {
+			loneShard = s
+		} else if s != loneShard {
 			oneShard = false
 		}
 	}
-	if runnable == 0 {
+	// Two shards are runnable, so only the minimum is left to find; a
+	// notRunnable entry never lowers it.
+	for _, t := range e.waitAt[i:] {
+		minNow = min(minNow, t)
+	}
+	if minNow == notRunnable {
 		if e.prof != nil {
 			e.prof.SerialEnd(SerialTurnover)
 		}
 		return roundNone
 	}
-	e.quiesce(minNow, quiet, coordinator)
+	e.quiesce(minNow, coordinator)
 	if oneShard {
 		if e.prof != nil {
 			e.prof.SerialEnd(SerialTurnover)
@@ -567,85 +591,83 @@ func (e *Engine) openRound(coordinator bool) round {
 // minNow and queues every in-window processor: the commit heap for open
 // global sections (their cross-shard operation spans the window edge, or
 // they were woken mid-protocol — they must stay serialized), the shard
-// heaps for everyone else.
+// heaps for everyone else. The shards it queues become the window's active
+// list, in ascending order.
 func (e *Engine) openWindow(minNow Time) {
 	T := minNow - minNow%e.window
 	e.windowEnd = T + e.window
 	e.windows++
 	e.widthSum += e.window
-	for _, q := range e.procs {
-		if q.finished || q.blocked || q.now >= e.windowEnd {
-			continue
+	for i, t := range e.waitAt {
+		if t >= e.windowEnd {
+			continue // a later window's, or not runnable
 		}
+		q := e.procs[i]
 		if q.global > 0 {
 			q.mode = modeCommit
 			e.commit.push(q)
-		} else {
-			e.shardHeaps[q.shard].push(q)
+			continue
 		}
+		s := e.shardOf[i]
+		e.shardHeaps[s].push(q)
+		e.busy[s>>6] |= 1 << (s & 63)
+	}
+	e.active = e.active[:0]
+	for w, b := range e.busy {
+		for ; b != 0; b &= b - 1 {
+			e.active = append(e.active, int32(w<<6+bits.TrailingZeros64(b)))
+		}
+		e.busy[w] = 0
 	}
 	e.stealNext.Store(0)
 	if e.prof != nil {
-		backlog := 0
-		for s := range e.shardHeaps {
-			if len(e.shardHeaps[s]) > 0 {
-				backlog++
-			}
-		}
-		e.prof.WindowOpen(e.window, backlog, len(e.commit))
+		e.prof.WindowOpen(e.window, len(e.active), len(e.commit))
 	}
 }
 
-// startNextChain claims undispatched shards in index order until it finds
-// one with queued work, dispatches that shard's chain by resuming its
-// (clock, id) minimum on the given lane, and reports whether a chain was
-// started. Safe to call from concurrent chains: the claim counter hands
-// each shard to exactly one caller, and only that caller touches the
-// shard's heap. steal marks calls from a dying chain (profiling only — the
-// claim semantics are identical).
+// startNextChain claims the window's next active shard, dispatches that
+// shard's chain by resuming its (clock, id) minimum on the given lane, and
+// reports whether a chain was started. Safe to call from concurrent chains:
+// the claim counter hands each shard to exactly one caller, and only that
+// caller touches the shard's heap. steal marks calls from a dying chain
+// (profiling only — the claim semantics are identical).
 func (e *Engine) startNextChain(lane int, steal bool) bool {
-	for {
-		s := int(e.stealNext.Add(1)) - 1
-		if s >= e.numShards {
-			if e.prof != nil && steal {
-				e.prof.StealAttempt(lane, false)
-			}
-			return false
+	k := int(e.stealNext.Add(1)) - 1
+	if k >= len(e.active) {
+		if e.prof != nil && steal {
+			e.prof.StealAttempt(lane, false)
 		}
-		h := &e.shardHeaps[s]
-		if len(*h) == 0 {
-			continue
-		}
-		p := h.pop()
-		p.lane = lane
-		p.mode = modePhase1
-		p.limit = e.windowEnd - 1
-		e.shardChains.Add(1)
-		if e.prof != nil {
-			if steal {
-				e.prof.StealAttempt(lane, true)
-			}
-			e.prof.ChainBegin(lane)
-		}
-		e.handoff(p, lane)
-		return true
+		return false
 	}
+	p := e.shardHeaps[e.active[k]].pop()
+	p.lane = lane
+	p.mode = modePhase1
+	p.limit = e.windowEnd - 1
+	e.shardChains.Add(1)
+	if e.prof != nil {
+		if steal {
+			e.prof.StealAttempt(lane, true)
+		}
+		e.prof.ChainBegin(lane)
+	}
+	e.handoff(p, lane)
+	return true
 }
 
 // enterRunAhead collapses the engine into the run-ahead fast path: every
 // runnable processor (all in shard s) joins the shard's heap and the
 // minimum runs first. Callable from the coordinator or from the last chain
 // of a dying window (turnover).
-func (e *Engine) enterRunAhead(s int) {
+func (e *Engine) enterRunAhead(s int32) {
 	e.runAhead = true
 	e.raExit = false
 	e.raShard = s
 	e.raSpans++
 	e.windowEnd = maxTime
 	h := &e.shardHeaps[s]
-	for _, p := range e.procs {
-		if !p.finished && !p.blocked {
-			h.push(p)
+	for i, t := range e.waitAt {
+		if t != notRunnable {
+			h.push(e.procs[i])
 		}
 	}
 	if e.prof != nil {
@@ -807,7 +829,7 @@ func (e *Engine) runProc(p *Proc, body func(*Proc)) {
 		// samples to the simulated processor and its shard. Labels are
 		// host-side metadata only; the schedule cannot observe them.
 		pprof.Do(context.Background(),
-			pprof.Labels("sim_proc", strconv.Itoa(p.id), "sim_shard", strconv.Itoa(p.shard)),
+			pprof.Labels("sim_proc", strconv.Itoa(p.id), "sim_shard", strconv.Itoa(p.Shard())),
 			func(context.Context) { body(p) })
 	} else {
 		body(p)

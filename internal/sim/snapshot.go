@@ -39,7 +39,7 @@ func (e *Engine) QuiesSeq() int64 { return e.quiesSeq }
 // the coordinator path a hook panic must release the parked processors
 // before propagating (on a chain path the panic unwinds through runProc's
 // recover, which records it on the lane for awaitChains → release).
-func (e *Engine) quiesce(minNow Time, quiet, coordinator bool) {
+func (e *Engine) quiesce(minNow Time, coordinator bool) {
 	e.quiesSeq++
 	if e.quiescent == nil {
 		return
@@ -52,7 +52,19 @@ func (e *Engine) quiesce(minNow Time, quiet, coordinator bool) {
 			}
 		}()
 	}
-	e.quiescent(e.quiesSeq, minNow, quiet)
+	e.quiescent(e.quiesSeq, minNow, e.quiet())
+}
+
+// quiet reports whether no unfinished processor holds an open global
+// section. Only the quiescent hook needs it, so only a round open with a
+// hook installed scans the processors for it.
+func (e *Engine) quiet() bool {
+	for _, p := range e.procs {
+		if !p.finished && p.global > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ProcSnap is the serializable state of one processor at a quiescent point.
@@ -80,7 +92,7 @@ func (p *Proc) Snap() ProcSnap {
 		Now:      p.now,
 		Blocked:  p.blocked,
 		Finished: p.finished,
-		Shard:    p.shard,
+		Shard:    p.Shard(),
 		Global:   p.global,
 		Seq:      p.seq,
 		Busy:     p.stats[StatBusy],

@@ -24,70 +24,7 @@ func TestWorkerInvarianceStress(t *testing.T) {
 		e.SetShards(shardOf, shards)
 		e.SetWorkers(workers)
 		res := make([]Resource, shards)
-		var blocked []*Proc // guarded by global sections only
-		runners := procs    // procs neither blocked nor retired
-		err := e.Run(func(p *Proc) {
-			rng := seed ^ uint64(p.ID())*0x9e3779b97f4a7c15
-			next := func(n uint64) uint64 {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				return rng % n
-			}
-			for i := 0; i < 200; i++ {
-				switch next(6) {
-				case 0, 1:
-					p.Advance(Time(10+next(300))*Nanosecond, StatBusy)
-				case 2:
-					// Shard-local resource acquire.
-					s := p.shard
-					start := res[s].Acquire(p.Now(), Time(next(50))*Nanosecond)
-					p.AdvanceTo(start, StatMemory)
-				case 3:
-					// Cross-shard work under a global section.
-					p.AwaitGlobal()
-					s := int(next(uint64(shards)))
-					start := res[s].Acquire(p.Now(), Time(next(50))*Nanosecond)
-					p.AdvanceTo(start+20*Nanosecond, StatMemory)
-					p.EndGlobal()
-				case 4:
-					// Maybe wake a blocked peer (cross-shard allowed).
-					p.AwaitGlobal()
-					if len(blocked) > 0 {
-						q := blocked[len(blocked)-1]
-						blocked = blocked[:len(blocked)-1]
-						runners++
-						p.Wake(q, p.Now()+Time(next(200))*Nanosecond)
-					}
-					p.EndGlobal()
-				case 5:
-					// Block and wait for a peer. Safe whenever at least
-					// one other processor is still runnable: the last
-					// runnable processor never blocks, and its epilogue
-					// drains the blocked list before it retires.
-					p.AwaitGlobal()
-					if runners > 1 && len(blocked) < 8 {
-						blocked = append(blocked, p)
-						runners--
-						p.EndGlobal()
-						p.Block()
-					} else {
-						p.EndGlobal()
-					}
-				}
-			}
-			// Epilogue: drain any still-blocked peers, then retire.
-			p.AwaitGlobal()
-			for len(blocked) > 0 {
-				q := blocked[len(blocked)-1]
-				blocked = blocked[:len(blocked)-1]
-				runners++
-				p.Wake(q, p.Now())
-			}
-			runners--
-			p.EndGlobal()
-		})
-		if err != nil {
+		if err := e.Run(stressBody(seed, procs, res)); err != nil {
 			t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
 		}
 		var s snap
@@ -123,5 +60,76 @@ func TestWorkerInvarianceStress(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stressBody returns the stress program's processor body for an engine of
+// procs processors with one resource per shard: seeded mixed advances,
+// global sections, shard-local and cross-shard resource acquires, blocks
+// and cross-shard wakes.
+func stressBody(seed uint64, procs int, res []Resource) func(p *Proc) {
+	shards := len(res)
+	var blocked []*Proc // guarded by global sections only
+	runners := procs    // procs neither blocked nor retired
+	return func(p *Proc) {
+		rng := seed ^ uint64(p.ID())*0x9e3779b97f4a7c15
+		next := func(n uint64) uint64 {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			return rng % n
+		}
+		for i := 0; i < 200; i++ {
+			switch next(6) {
+			case 0, 1:
+				p.Advance(Time(10+next(300))*Nanosecond, StatBusy)
+			case 2:
+				// Shard-local resource acquire.
+				s := p.Shard()
+				start := res[s].Acquire(p.Now(), Time(next(50))*Nanosecond)
+				p.AdvanceTo(start, StatMemory)
+			case 3:
+				// Cross-shard work under a global section.
+				p.AwaitGlobal()
+				s := int(next(uint64(shards)))
+				start := res[s].Acquire(p.Now(), Time(next(50))*Nanosecond)
+				p.AdvanceTo(start+20*Nanosecond, StatMemory)
+				p.EndGlobal()
+			case 4:
+				// Maybe wake a blocked peer (cross-shard allowed).
+				p.AwaitGlobal()
+				if len(blocked) > 0 {
+					q := blocked[len(blocked)-1]
+					blocked = blocked[:len(blocked)-1]
+					runners++
+					p.Wake(q, p.Now()+Time(next(200))*Nanosecond)
+				}
+				p.EndGlobal()
+			case 5:
+				// Block and wait for a peer. Safe whenever at least
+				// one other processor is still runnable: the last
+				// runnable processor never blocks, and its epilogue
+				// drains the blocked list before it retires.
+				p.AwaitGlobal()
+				if runners > 1 && len(blocked) < 8 {
+					blocked = append(blocked, p)
+					runners--
+					p.EndGlobal()
+					p.Block()
+				} else {
+					p.EndGlobal()
+				}
+			}
+		}
+		// Epilogue: drain any still-blocked peers, then retire.
+		p.AwaitGlobal()
+		for len(blocked) > 0 {
+			q := blocked[len(blocked)-1]
+			blocked = blocked[:len(blocked)-1]
+			runners++
+			p.Wake(q, p.Now())
+		}
+		runners--
+		p.EndGlobal()
 	}
 }
